@@ -54,18 +54,17 @@ def test_highway_large_n_fast_path(benchmark, bench_json_sink):
 
     Dense through-traffic (``spread_along_road``, 150 m gaps) is the
     batch kernel's target regime: each broadcast reaches most of the
-    fleet, so per-candidate Python cost dominates the scalar paths.
-    Three arms over a fixed 5-simulated-second window — the vectorized
-    batch kernel (default), PR 3's scalar fast path, and the scalar
-    exhaustive reference; outcomes are pinned bit-identical by the
-    fast-path/batch A/B test.
+    fleet, so per-candidate Python cost dominates the scalar path.  Two
+    arms over a fixed 5-simulated-second window — the production path
+    (culling + vectorized batch kernel, the default) and the exhaustive
+    scalar oracle; outcomes are pinned bit-identical by the A/B test.
     """
     import dataclasses
     import time
 
     from repro.experiments.highway import build_highway_round
 
-    def window_seconds(fast_path: bool, batch: bool, cross: bool = True) -> float:
+    def window_seconds(fast_path: bool) -> float:
         cfg = HighwayConfig(
             n_cars=96,
             gap_m=150.0,
@@ -76,37 +75,25 @@ def test_highway_large_n_fast_path(benchmark, bench_json_sink):
         )
         cfg = dataclasses.replace(
             cfg,
-            radio=dataclasses.replace(
-                cfg.radio,
-                reception_fast_path=fast_path,
-                reception_batch=batch,
-                cross_broadcast_batch=cross,
-            ),
+            radio=dataclasses.replace(cfg.radio, reception_fast_path=fast_path),
         )
         ctx = build_highway_round(cfg, 0)
         t0 = time.perf_counter()
         ctx.sim.run(until=5.0)
         return time.perf_counter() - t0
 
-    batch = benchmark.pedantic(
-        window_seconds, args=(True, True), rounds=1, iterations=1
-    )
-    # Legacy reference arms keep cross-broadcast coalescing off.
-    fast = window_seconds(True, False, cross=False)
-    exhaustive = window_seconds(False, False, cross=False)
+    batch = benchmark.pedantic(window_seconds, args=(True,), rounds=1, iterations=1)
+    exhaustive = window_seconds(False)
     bench_json_sink(
         "highway.large_n",
         {
             "radios": 97,
             "window_s": 5.0,
             "batch_s": round(batch, 3),
-            "fast_s": round(fast, 3),
             "exhaustive_s": round(exhaustive, 3),
             "speedup": round(exhaustive / batch, 2),
-            "batch_vs_fast_speedup": round(fast / batch, 2),
         },
     )
-    # Generous floors for noisy CI boxes; BENCH_kernel.json records the
-    # actual ratios measured on an idle machine.
+    # Generous floor for noisy CI boxes; BENCH_kernel.json records the
+    # actual ratio measured on an idle machine.
     assert exhaustive / batch > 1.4
-    assert fast / batch > 1.2

@@ -58,89 +58,6 @@ def test_event_throughput(benchmark, bench_json_sink):
     )
 
 
-def test_scheduler_wheel_vs_heap(benchmark, bench_json_sink):
-    """Satellite pin: the slot-wheel scheduler vs the legacy binary heap.
-
-    Identical workload through both queue implementations — 50k events
-    on a mixed grid (MAC-slot-aligned and off-grid times, the shape
-    frame scheduling produces) — so the recorded ``speedup`` isolates
-    the data structure from everything else.  Pop order is bit-identical
-    (pinned by the Hypothesis equivalence suite).
-    """
-
-    def storm(scheduler: str) -> float:
-        sim = Simulator(scheduler=scheduler)
-        with gc_paused():
-            for i in range(50_000):
-                # Mixed grid: slot-aligned bulk, off-grid stragglers.
-                t = i * 2e-5 if i % 4 else i * 1e-4 + 3.3e-7
-                sim.schedule(t, lambda: None)
-            t0 = time.perf_counter()
-            sim.run()
-            return time.perf_counter() - t0
-
-    storm("wheel")  # warm-up
-    wheel = benchmark.pedantic(storm, args=("wheel",), rounds=3, iterations=1)
-    heap = storm("heap")
-    bench_json_sink(
-        "kernel.scheduler_wheel",
-        {
-            "events": 50_000,
-            "wheel_s": round(wheel, 4),
-            "heap_s": round(heap, 4),
-            "drain_speedup": round(heap / wheel, 2),
-        },
-    )
-    assert wheel > 0 and heap > 0
-
-
-def test_protocol_step(benchmark, bench_json_sink):
-    """Tentpole pin: pooled protocol stepping vs the legacy callback path.
-
-    One full urban round (real channel, mobility and C-ARQ protocol),
-    run twice: with the :class:`~repro.core.engine.ProtocolPool` as the
-    medium's coalesced delivery sink (default — one coverage-sweep event
-    per AP broadcast, SoA deadlines) and with the legacy per-vehicle
-    receive callbacks plus cancel/re-schedule coverage watchdogs.  The
-    result rows are bit-identical (pinned by the scenario A/B suite);
-    only the event traffic differs.  Recorded as ``*_ratio``: full-round
-    wall clock includes channel sampling, so the pool's share jitters
-    too much for the CI ``*speedup*`` gate.
-    """
-    import dataclasses
-
-    from repro.scenarios.urban import UrbanScenarioConfig, build_urban_round
-
-    def round_seconds(batched_delivery: bool) -> float:
-        cfg = UrbanScenarioConfig(seed=17, round_duration_s=60.0)
-        cfg = dataclasses.replace(
-            cfg,
-            radio=dataclasses.replace(
-                cfg.radio, batched_delivery=batched_delivery
-            ),
-        )
-        ctx = build_urban_round(cfg, 0)
-        t0 = time.perf_counter()
-        ctx.run()
-        return time.perf_counter() - t0
-
-    round_seconds(True)  # warm-up
-    pooled = benchmark.pedantic(
-        round_seconds, args=(True,), rounds=3, iterations=1
-    )
-    legacy = round_seconds(False)
-    bench_json_sink(
-        "kernel.protocol_step",
-        {
-            "round_s": 60.0,
-            "pooled_s": round(pooled, 4),
-            "legacy_s": round(legacy, 4),
-            "pool_ratio": round(legacy / pooled, 2),
-        },
-    )
-    assert pooled > 0 and legacy > 0
-
-
 def test_process_context_switching(benchmark):
     """10k generator-process wake-ups."""
 
@@ -185,8 +102,7 @@ def test_signal_fanout(benchmark):
 
 
 def _line_network(
-    n_nodes: int, *, fast_path: bool, batch: bool, cross: bool = True,
-    spacing_m: float = 25.0, seed: int = 11,
+    n_nodes: int, *, fast_path: bool, spacing_m: float = 25.0, seed: int = 11,
 ):
     """One medium with *n_nodes* static interfaces spaced along a line.
 
@@ -219,10 +135,7 @@ def _line_network(
         fading=RicianFading(sim.streams.get("fading"), k_factor=4.0),
         rng=sim.streams.get("channel"),
     )
-    medium = Medium(
-        sim, channel, fast_path=fast_path, batch=batch,
-        cross_broadcast_batch=cross,
-    )
+    medium = Medium(sim, channel, fast_path=fast_path)
     ifaces = []
     for index in range(n_nodes):
         position = Vec2(spacing_m * index, 0.0)
@@ -241,13 +154,11 @@ def _line_network(
 
 
 def _broadcast_storm(
-    n_nodes: int, broadcasts: int, *, fast_path: bool, batch: bool,
-    cross: bool = True, spacing_m: float = 25.0,
+    n_nodes: int, broadcasts: int, *, fast_path: bool, spacing_m: float = 25.0,
 ) -> float:
     """Wall-clock seconds for *broadcasts* medium-level transmissions."""
     sim, medium, ifaces = _line_network(
-        n_nodes, fast_path=fast_path, batch=batch, cross=cross,
-        spacing_m=spacing_m,
+        n_nodes, fast_path=fast_path, spacing_m=spacing_m
     )
     rate = rate_by_name("dsss-11")
     frame = DataFrame(
@@ -272,45 +183,30 @@ def test_medium_broadcast_batch_kernel(benchmark, bench_json_sink):
     """The tentpole pin: dense broadcasts run as one NumPy batch.
 
     200 nodes on a 5 km line with the full stochastic channel stack.
-    Three arms, all bit-identical by the A/B pins: the batch kernel
-    (default), PR 3's scalar fast path (culling, per-candidate Python),
-    and the fully scalar exhaustive reference.  The batch kernel must
-    clearly beat the scalar fast path at this density and crush the
-    exhaustive path; N=50 is recorded for the scaling story.
+    Two arms, bit-identical by the A/B pins: the production path
+    (culling + batch kernel, the default) and the exhaustive scalar
+    oracle.  The production path must crush the oracle at this density;
+    N=50 is recorded for the scaling story.
     """
     # Warm NumPy's dispatch caches off the clock so the measured batch
     # arm is not charged for one-time import/ufunc setup.
-    _broadcast_storm(50, 40, fast_path=True, batch=True)
+    _broadcast_storm(50, 40, fast_path=True)
     batch = benchmark.pedantic(
-        _broadcast_storm, args=(200, 400),
-        kwargs={"fast_path": True, "batch": True},
+        _broadcast_storm, args=(200, 400), kwargs={"fast_path": True},
         rounds=1, iterations=1,
     )
-    # The reference arms are the true pre-coalescer legacy paths: the
-    # cross-broadcast queue stays off so they measure PR 3/PR 6 shapes.
-    fast = _broadcast_storm(200, 400, fast_path=True, batch=False, cross=False)
-    exhaustive = _broadcast_storm(
-        200, 400, fast_path=False, batch=False, cross=False
-    )
-    small_batch = _broadcast_storm(50, 400, fast_path=True, batch=True)
-    small_fast = _broadcast_storm(
-        50, 400, fast_path=True, batch=False, cross=False
-    )
-    small_exhaustive = _broadcast_storm(
-        50, 400, fast_path=False, batch=False, cross=False
-    )
+    exhaustive = _broadcast_storm(200, 400, fast_path=False)
+    small_batch = _broadcast_storm(50, 400, fast_path=True)
+    small_exhaustive = _broadcast_storm(50, 400, fast_path=False)
     bench_json_sink(
         "medium.broadcast_storm",
         {
             "nodes": 200,
             "broadcasts": 400,
             "batch_s": round(batch, 4),
-            "fast_s": round(fast, 4),
             "exhaustive_s": round(exhaustive, 4),
             "speedup": round(exhaustive / batch, 2),
-            "batch_vs_fast_speedup": round(fast / batch, 2),
             "n50_batch_s": round(small_batch, 4),
-            "n50_fast_s": round(small_fast, 4),
             "n50_exhaustive_s": round(small_exhaustive, 4),
             # Named "ratio", not "speedup", deliberately: sub-second
             # single-iteration timings jitter too much on shared runners
@@ -318,27 +214,21 @@ def test_medium_broadcast_batch_kernel(benchmark, bench_json_sink):
             "n50_ratio": round(small_exhaustive / small_batch, 2),
         },
     )
-    # Generous floors (CI machines are noisy); the committed
-    # BENCH_kernel.json records the actual measured ratios.
+    # Generous floor (CI machines are noisy); the committed
+    # BENCH_kernel.json records the actual measured ratio.
     assert exhaustive / batch > 2.0
-    assert fast / batch > 1.3
 
 
 def test_medium_broadcast_o_reachable_sparse(bench_json_sink):
     """PR 3's pin, kept alive: sparse broadcasts stay O(reachable).
 
-    200 nodes at 60 m spacing (12 km line) with the batch kernel off —
-    each broadcast reaches only its ~40-node neighborhood, so the
-    culling fast path alone must beat the exhaustive path by a wide
-    margin.  This guards the neighbor index + reachability bound
-    independently of the batch kernel's dense-regime numbers above.
+    200 nodes at 60 m spacing (12 km line): each broadcast reaches only
+    its ~40-node neighborhood, so the production path — which culls the
+    rest before sampling — must beat the exhaustive oracle, which
+    samples every attached interface, by a wide margin.
     """
-    fast = _broadcast_storm(
-        200, 400, fast_path=True, batch=False, cross=False, spacing_m=60.0
-    )
-    exhaustive = _broadcast_storm(
-        200, 400, fast_path=False, batch=False, cross=False, spacing_m=60.0
-    )
+    fast = _broadcast_storm(200, 400, fast_path=True, spacing_m=60.0)
+    exhaustive = _broadcast_storm(200, 400, fast_path=False, spacing_m=60.0)
     bench_json_sink(
         "medium.broadcast_storm_sparse",
         {
@@ -368,9 +258,7 @@ def test_broadcast_storm_counter_snapshot(bench_json_sink):
 
     def storm_snapshot(spacing_m: float) -> dict:
         with obs.instrumented():
-            _broadcast_storm(
-                100, 200, fast_path=True, batch=True, spacing_m=spacing_m
-            )
+            _broadcast_storm(100, 200, fast_path=True, spacing_m=spacing_m)
             snap = obs.registry().snapshot()
         before = snap["medium.candidates_before_cull"]["value"]
         after = snap["medium.candidates_after_cull"]["value"]
@@ -398,188 +286,6 @@ def test_broadcast_storm_counter_snapshot(bench_json_sink):
     bench_json_sink(
         "medium.storm_counters",
         {"nodes": 100, "broadcasts": 200, "dense": dense, "sparse": sparse},
-    )
-
-
-def _ap_cluster_network(*, cross: bool, n_aps: int = 6, clients_per_ap: int = 4):
-    """The multi-AP shape: isolated infostation cells along a long road.
-
-    Each AP reaches only its own handful of clients — below the
-    ``batch_min_candidates`` floor, so without cross-broadcast
-    coalescing every delivery samples the channel scalar, one
-    ``channel.sample`` call per client.  The 5 km cell spacing is far
-    beyond the path-loss reach radius (~1.7 km at these defaults), so
-    the neighbor grid culls the other cells and the candidate sets stay
-    genuinely small.
-    """
-    sim = Simulator(seed=7)
-    channel = Channel(
-        pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
-        shadowing=CompositeShadowing(
-            [
-                GudmundsonShadowing(
-                    sim.streams.get("shadowing"),
-                    sigma_db=4.0,
-                    decorrelation_distance_m=20.0,
-                ),
-                TemporalTxShadowing(
-                    sim.streams.get("shadowing-common"),
-                    sigma_db=3.0,
-                    tau_s=2.0,
-                    hub=NodeId(1),
-                ),
-            ]
-        ),
-        fading=RicianFading(sim.streams.get("fading"), k_factor=4.0),
-        rng=sim.streams.get("channel"),
-    )
-    medium = Medium(
-        sim, channel, fast_path=True, batch=True, cross_broadcast_batch=cross
-    )
-    aps = []
-    node = 0
-    for cell in range(n_aps):
-        base = 5000.0 * cell
-        for k in range(clients_per_ap + 1):
-            node += 1
-            position = Vec2(base + 15.0 * k, 0.0)
-            iface = NetworkInterface(
-                sim,
-                medium,
-                NodeId(node),
-                (lambda p: (lambda: p))(position),
-                RadioConfig(),
-                sim.streams.get(f"mac-{node}"),
-                name=f"n{node}",
-            )
-            if k == 0:
-                aps.append(iface)
-    return sim, medium, aps
-
-
-def _ap_cluster_storm(cross: bool, waves: int = 50) -> float:
-    """Wall-clock seconds for *waves* rounds of simultaneous AP beacons.
-
-    All APs transmit at the same instant each wave — the multi-AP
-    beaconing pattern — so the coalescer can pool their sub-floor
-    candidate sets into one cross-broadcast sampling pass.
-    """
-    sim, medium, aps = _ap_cluster_network(cross=cross)
-    rate = rate_by_name("dsss-11")
-    seq = 0
-    for wave in range(waves):
-        for ap in aps:
-            seq += 1
-            frame = DataFrame(
-                src=ap.node_id,
-                dst=NodeId(int(ap.node_id) + 1),
-                size_bytes=200,
-                flow_dst=NodeId(int(ap.node_id) + 1),
-                seq=seq,
-            )
-            sim.schedule(wave * 2e-3, medium.transmit, ap, frame, rate)
-    t0 = time.perf_counter()
-    sim.run()
-    return time.perf_counter() - t0
-
-
-def test_cross_broadcast_scalar_floor(bench_json_sink):
-    """Reception-ladder rung 5 pin: coalescing lifts the scalar floor.
-
-    Six APs with four clients each beacon simultaneously, 50 waves.
-    Every individual broadcast carries 4 candidates — under the
-    ``batch_min_candidates=8`` floor, so the pre-coalescer medium runs
-    4 scalar ``channel.sample`` calls per broadcast (1200 total).  With
-    ``cross_broadcast_batch`` on the six same-instant candidate sets
-    concatenate into one 24-lane multibatch pass and the scalar floor
-    disappears entirely.  The call counts are deterministic, so the
-    recorded ``scalar_call_speedup`` is exact and safely inside the CI
-    regression gate's tolerance; wall times are informational (the
-    window is sub-second and jittery on shared runners).
-    """
-    from repro import obs
-
-    def counted(cross: bool):
-        with obs.instrumented():
-            seconds = _ap_cluster_storm(cross)
-            snapshot = obs.registry().snapshot()
-        return seconds, snapshot
-
-    _ap_cluster_storm(True)  # warm NumPy dispatch caches off the clock
-    coalesced_s, coalesced = counted(True)
-    legacy_s, legacy = counted(False)
-    legacy_calls = legacy["medium.scalar_floor_calls"]["value"]
-    coalesced_calls = coalesced["medium.scalar_floor_calls"]["value"]
-    pooled = coalesced["medium.coalesced_broadcasts"]["value"]
-    # The exact deterministic shape: 50 waves x 6 APs x 4 clients
-    # sampled scalar without the coalescer; all 300 broadcasts pooled
-    # (and off the scalar floor) with it.
-    assert legacy_calls == 50 * 6 * 4
-    assert pooled == 50 * 6
-    # The acceptance bar: the multi-AP window's scalar channel.sample
-    # count must drop at least 5x (here it drops to zero).
-    assert legacy_calls >= 5 * max(coalesced_calls, 1)
-    bench_json_sink(
-        "kernel.cross_broadcast",
-        {
-            "aps": 6,
-            "clients_per_ap": 4,
-            "waves": 50,
-            "coalesced_s": round(coalesced_s, 4),
-            "legacy_s": round(legacy_s, 4),
-            "scalar_calls_legacy": legacy_calls,
-            "scalar_calls_coalesced": coalesced_calls,
-            "scalar_call_speedup": round(
-                legacy_calls / max(coalesced_calls, 1), 2
-            ),
-            "coalesced_broadcasts": pooled,
-        },
-    )
-
-
-def test_lane_scratch_alloc_delta(bench_json_sink):
-    """The small-array-churn pin: warm candidate gathers allocate nothing.
-
-    ``Medium._receive_batch`` and the coalescer's drain write candidate
-    lanes into one medium-owned :class:`~repro.radio.batch.LaneScratch`
-    instead of building per-broadcast ``np.array`` temporaries.  Once
-    the scratch has grown to the storm's peak lane count, every further
-    ``reserve`` must hand back the same buffers — tracemalloc pins the
-    allocation delta of 10k warm gathers at (near) zero, while a
-    capacity-crossing reserve still visibly reallocates.
-    """
-    import tracemalloc
-
-    from repro.radio.batch import LaneScratch
-
-    scratch = LaneScratch()
-    scratch.reserve(200)  # warm to the peak (rounds up to 256 capacity)
-    warm_xs, warm_gains = scratch.rx_xs, scratch.rx_gains
-    tracemalloc.start()
-    base = tracemalloc.get_traced_memory()[0]
-    for lanes in (1, 8, 64, 200, 256):
-        for _ in range(2_000):
-            scratch.reserve(lanes)
-    warm_delta = tracemalloc.get_traced_memory()[0] - base
-    assert scratch.rx_xs is warm_xs and scratch.rx_gains is warm_gains
-    scratch.reserve(4096)  # crossing capacity must still grow for real
-    grow_delta = tracemalloc.get_traced_memory()[0] - base
-    tracemalloc.stop()
-    assert scratch.rx_xs is not warm_xs
-    # 10k warm reserves: no array churn (tolerance covers tracemalloc's
-    # own bookkeeping residue, far below one 64-lane float64 column).
-    assert warm_delta < 512
-    # The growth path really reallocated the float64/int64 columns.
-    assert grow_delta > 4096 * 8
-    bench_json_sink(
-        "kernel.lane_scratch_alloc",
-        {
-            "warm_reserves": 10_000,
-            "warm_capacity": 256,
-            "warm_alloc_bytes": warm_delta,
-            "grow_to": 4096,
-            "grow_alloc_bytes": grow_delta,
-        },
     )
 
 

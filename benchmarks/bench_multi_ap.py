@@ -70,16 +70,17 @@ def test_multi_ap_large_n_fast_path(benchmark, bench_json_sink):
     while the many out-of-range infostations keep beaconing into
     near-empty neighborhoods (3-candidate sets, scalar loop) — so this
     case measures the *blended* end-to-end win, protocol and event
-    kernel included, not just the reception pipeline.  Three arms over a
-    fixed 10-simulated-second window; outcomes are pinned bit-identical
-    by ``tests/scenarios/test_fast_path_ab.py``.
+    kernel included, not just the reception pipeline.  Two arms over a
+    fixed 10-simulated-second window, the production path and the
+    exhaustive scalar oracle; outcomes are pinned bit-identical by
+    ``tests/scenarios/test_fast_path_ab.py``.
     """
     import dataclasses
     import time
 
     from repro.experiments.multi_ap import build_multi_ap_round
 
-    def window_seconds(fast_path: bool, batch: bool, cross: bool = True) -> float:
+    def window_seconds(fast_path: bool) -> float:
         cfg = MultiApConfig(
             road_length_m=4000.0,
             ap_spacing_m=200.0,
@@ -90,41 +91,25 @@ def test_multi_ap_large_n_fast_path(benchmark, bench_json_sink):
         )
         cfg = dataclasses.replace(
             cfg,
-            radio=dataclasses.replace(
-                cfg.radio,
-                reception_fast_path=fast_path,
-                reception_batch=batch,
-                cross_broadcast_batch=cross,
-            ),
+            radio=dataclasses.replace(cfg.radio, reception_fast_path=fast_path),
         )
         ctx = build_multi_ap_round(cfg, 0)
         t0 = time.perf_counter()
         ctx.sim.run(until=10.0)
         return time.perf_counter() - t0
 
-    batch = benchmark.pedantic(
-        window_seconds, args=(True, True), rounds=1, iterations=1
-    )
-    # Reference arms stay on the pre-coalescer legacy paths (cross off)
-    # so the recorded speedups measure the whole reception ladder.
-    fast = window_seconds(True, False, cross=False)
-    exhaustive = window_seconds(False, False, cross=False)
+    batch = benchmark.pedantic(window_seconds, args=(True,), rounds=1, iterations=1)
+    exhaustive = window_seconds(False)
     bench_json_sink(
         "multi_ap.large_n",
         {
             "radios": 68,
             "window_s": 10.0,
             "batch_s": round(batch, 3),
-            "fast_s": round(fast, 3),
             "exhaustive_s": round(exhaustive, 3),
             "speedup": round(exhaustive / batch, 2),
-            "batch_vs_fast_speedup": round(fast / batch, 2),
         },
     )
     # Generous floor for noisy CI boxes; BENCH_kernel.json records the
-    # actual ratios measured on an idle machine.  The batch-vs-fast
-    # ratio of this protocol-bound case is recorded (and covered by the
-    # CI regression gate's noise tolerance) rather than asserted inline:
-    # two sequential 6 s windows on a shared runner don't share
-    # instantaneous load, so a hard floor here would only add flakes.
+    # actual ratio measured on an idle machine.
     assert exhaustive / batch > 1.5

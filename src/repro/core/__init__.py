@@ -32,7 +32,6 @@ from repro.core.retransmission import (
     NoRetransmission,
     RetransmissionPolicy,
 )
-from repro.core.engine import ProtocolPool
 from repro.core.protocol import CarqProtocol, CarqStats
 from repro.core.vehicle import VehicleNode
 
@@ -43,7 +42,6 @@ __all__ = [
     "CarqConfig",
     "CarqProtocol",
     "CarqStats",
-    "ProtocolPool",
     "CooperatorSelection",
     "CooperatorTable",
     "FixedRetransmission",

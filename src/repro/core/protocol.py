@@ -40,33 +40,6 @@ from repro.obs.probes import protocol_probes
 from repro.sim import Event, Interrupt, Process, Simulator
 
 
-def hello_order(frame: HelloFrame) -> dict[NodeId, int]:
-    """Cooperator → responder-order map of one HELLO frame.
-
-    First occurrence wins, exactly like the ``list.index`` scan it
-    replaces (cooperator tuples should never repeat a node, but the
-    digest must not silently change semantics if one does).
-    """
-    order: dict[NodeId, int] = {}
-    for position, node_id in enumerate(frame.cooperators):
-        if node_id not in order:
-            order[node_id] = position
-    return order
-
-
-def hello_ranges(frame: HelloFrame) -> dict[NodeId, list[tuple[int, int]]]:
-    """Flow → ``(lo, hi)`` known-range list of one HELLO frame.
-
-    Entry order within a flow is preserved, so replaying a flow's list
-    issues the same ``extend_range`` calls in the same order as the
-    legacy whole-tuple scan.
-    """
-    ranges: dict[NodeId, list[tuple[int, int]]] = {}
-    for flow, lo, hi in frame.flow_ranges:
-        ranges.setdefault(flow, []).append((lo, hi))
-    return ranges
-
-
 @dataclass(slots=True)
 class CarqStats:
     """Protocol activity counters for one vehicle and one round."""
@@ -98,13 +71,6 @@ class CarqProtocol:
         Protocol tunables (defaults = the paper's prototype).
     rng:
         Stream for HELLO jitter.
-    pool:
-        Optional :class:`~repro.core.engine.ProtocolPool`.  When given,
-        the pool takes over receive dispatch and the coverage watchdog
-        (struct-of-arrays deadlines, one sweep event per broadcast)
-        instead of a per-vehicle receive callback and timer events.
-        Protocol semantics are identical either way (pinned by the A/B
-        suite); the pool is purely an event-traffic optimisation.
     """
 
     __slots__ = (
@@ -134,7 +100,6 @@ class CarqProtocol:
         ap_ids: NodeId | typing.Iterable[NodeId],
         config: CarqConfig,
         rng: np.random.Generator,
-        pool: "typing.Any | None" = None,
     ) -> None:
         self.sim = sim
         self.node = node
@@ -165,10 +130,7 @@ class CarqProtocol:
         # (flow, seq) → time a coop response was last overheard (suppression).
         self._overheard_responses: dict[tuple[NodeId, int], float] = {}
 
-        if pool is not None:
-            pool.register(self)
-        else:
-            node.iface.add_receive_callback(self._on_frame)
+        node.iface.add_receive_callback(self._on_frame)
 
     # ------------------------------------------------------------------ API --
 
@@ -251,60 +213,43 @@ class CarqProtocol:
     def _on_data(self, frame: DataFrame, info: RxInfo) -> None:
         if frame.src not in self.ap_ids:
             return
-        self._receive_ap_data(frame, self.sim.now)
-        self._arm_coverage_watchdog()
-
-    def _receive_ap_data(self, frame: DataFrame, now: float) -> None:
-        """Reception bookkeeping for one AP data frame.
-
-        The watchdog-free part of :meth:`_on_data`: the pooled path
-        (:class:`repro.core.engine.ProtocolPool`) calls this directly —
-        phase entry and the coverage deadline are handled by the pool's
-        struct-of-arrays sweep instead of per-vehicle timer events — so
-        the reception semantics exist exactly once.
-        """
+        now = self.sim.now
         self._last_ap_time = now
-        self._enter_reception()
+        # AP contact: abort any recovery and enter the Reception phase.
+        if self.phase is Phase.RECOVERY and self._recovery_process is not None:
+            if self._recovery_process.alive:
+                self._recovery_process.interrupt("ap-contact")
+            self._recovery_process = None
+        self.phase = Phase.RECEPTION
         if frame.flow_dst == self.my_flow:
             self.state.record_direct(frame.seq, now)
         elif self.table.is_partner(frame.flow_dst):
             self.coop_buffer.add(
                 BufferEntry(frame.flow_dst, frame.seq, now, frame.size_bytes)
             )
-
-    def _on_hello(self, frame: HelloFrame, info: RxInfo) -> None:
-        self._receive_hello(
-            frame, info, hello_order(frame), hello_ranges(frame)
+        # Re-arm the coverage watchdog.
+        if self._coverage_event is not None:
+            self.sim.cancel(self._coverage_event)
+        self._coverage_event = self.sim.schedule(
+            self.config.coverage_timeout_s, self._coverage_timeout
         )
 
-    def _receive_hello(
-        self,
-        frame: HelloFrame,
-        info: RxInfo,
-        order: dict[NodeId, int],
-        ranges: dict[NodeId, list[tuple[int, int]]],
-    ) -> None:
-        """Reception bookkeeping for one HELLO frame.
-
-        *order* and *ranges* are the frame's cooperator list and flow
-        ranges pre-digested by :func:`hello_order` / :func:`hello_ranges`
-        — the pooled path (:class:`repro.core.engine.ProtocolPool`)
-        digests them once per broadcast and fans the dicts out to every
-        member receiver, so the per-receiver work drops from two list
-        scans to two dict lookups while the semantics exist exactly once.
-        """
+    def _on_hello(self, frame: HelloFrame, info: RxInfo) -> None:
         now = self.sim.now
         if self._obs is not None:
             self._obs.hello_rx.value += 1
-        self.table.hear_hello(NodeId(frame.src), now, info.rx_power_dbm)
-        my_order = order.get(self.node.node_id)
-        if my_order is not None:
-            self.table.note_partner(NodeId(frame.src), my_order, now)
+        src = NodeId(frame.src)
+        self.table.hear_hello(src, now, info.rx_power_dbm)
+        me = self.node.node_id
+        if me in frame.cooperators:
+            self.table.note_partner(src, frame.cooperators.index(me), now)
         else:
-            self.table.forget_partner(NodeId(frame.src))
+            self.table.forget_partner(src)
         if self.config.recovery_range == "platoon":
             extended = False
-            for lo, hi in ranges.get(self.my_flow, ()):
+            for flow, lo, hi in frame.flow_ranges:
+                if flow != self.my_flow:
+                    continue
                 old = (self.state.known_lo, self.state.known_hi)
                 self.state.extend_range(lo, hi)
                 extended = extended or old != (
@@ -348,37 +293,9 @@ class CarqProtocol:
 
     # ------------------------------------------------------------ coverage watchdog --
 
-    def _enter_reception(self) -> None:
-        """AP contact: abort any recovery and enter the Reception phase.
-
-        The phase-transition half of hearing the AP, shared by the
-        legacy per-vehicle path and the pooled path; only *when the
-        watchdog fires* differs between the two (a per-vehicle timer
-        event here, the pool's deadline array there).
-        """
-        if self.phase is Phase.RECOVERY and self._recovery_process is not None:
-            if self._recovery_process.alive:
-                self._recovery_process.interrupt("ap-contact")
-            self._recovery_process = None
-        self.phase = Phase.RECEPTION
-
-    def _arm_coverage_watchdog(self) -> None:
-        """Legacy watchdog: one cancel + one schedule per AP reception."""
-        if self._coverage_event is not None:
-            self.sim.cancel(self._coverage_event)
-        self._coverage_event = self.sim.schedule(
-            self.config.coverage_timeout_s, self._coverage_timeout
-        )
-
     def _coverage_timeout(self) -> None:
+        """The watchdog verdict: no AP heard for the timeout → dark area."""
         self._coverage_event = None
-        self._coverage_expired()
-
-    def _coverage_expired(self) -> None:
-        """The watchdog verdict: no AP heard for the timeout → dark area.
-
-        Shared by the legacy timer event and the pool's coverage sweep.
-        """
         if self.phase is not Phase.RECEPTION:
             return
         self.phase = Phase.RECOVERY

@@ -25,9 +25,6 @@ class VehicleNode(Node):
         The access point(s) whose frames define coverage.
     config:
         Protocol configuration (defaults reproduce the paper's prototype).
-    pool:
-        Optional :class:`~repro.core.engine.ProtocolPool` to join (see
-        :class:`~repro.core.protocol.CarqProtocol`).
     """
 
     __slots__ = ("protocol",)
@@ -43,7 +40,6 @@ class VehicleNode(Node):
         ap_ids: NodeId | list[NodeId],
         config: CarqConfig | None = None,
         name: str = "",
-        pool=None,
     ) -> None:
         super().__init__(sim, medium, node_id, mobility, radio, rng, name=name)
         self.protocol = CarqProtocol(
@@ -52,7 +48,6 @@ class VehicleNode(Node):
             ap_ids,
             config if config is not None else CarqConfig(),
             rng,
-            pool=pool,
         )
 
     def start(self) -> None:

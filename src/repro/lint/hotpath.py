@@ -2,8 +2,7 @@
 
 PR 7 flattened the event kernel's hot control flow: generator-based
 processes cost a frame resume per event, so CSMA contention and AP flow
-senders became self-rescheduling callbacks, and protocol delivery became
-one pooled dispatch per broadcast.  These rules keep that shape from
+senders became self-rescheduling callbacks.  These rules keep that shape from
 regressing — and encode the exact bug shape that refactor shipped and
 the runtime pins missed: ``_finish_batch`` rebinding its ``delivered``
 accumulator with the FER-outcome list, so every dense-broadcast delivery

@@ -212,11 +212,6 @@ class NetworkInterface:
 
     def _tx_done(self) -> None:
         """Frame left the air: start the next cycle or go idle."""
-        # Broadcasts queued earlier this instant by the medium's
-        # cross-broadcast coalescer must observe the transmitting flag
-        # *before* it clears (the one-at-a-time arm read it at their
-        # transmit events, which precede this one in seq order).
-        self._medium.on_tx_ending(self)
         self._transmitting = False
         if self._queue:
             # The generator version continued its loop within the same

@@ -25,17 +25,16 @@ Reception pipeline per (frame, receiver):
 The candidate receivers themselves come from a lazily refreshed spatial
 grid (cell size = the maximum reachable radius implied by the path-loss
 model), so a broadcast costs O(reachable receivers), not O(attached
-interfaces).  ``fast_path=False`` forces the exhaustive path — every
-attached interface is bounded *and sampled* — which must produce
-bit-identical outcomes (the A/B pin in
-``tests/scenarios/test_fast_path_ab.py``).
+interfaces).  Candidate sets of at least ``batch_min_candidates``
+receivers run steps 1–3, and their frame end, as one NumPy pass through
+the vectorized batch channel kernel (:mod:`repro.radio.batch`); smaller
+sets take the scalar per-receiver loop.
 
-On top of either discovery mode, ``batch=True`` (the default) runs steps
-1–3 for the whole candidate set as one NumPy pass through the vectorized
-batch channel kernel (:mod:`repro.radio.batch`) whenever the set is
-large enough to amortise the array overhead; the scalar loop remains the
-reference implementation and the batch kernel is pinned bit-identical to
-it.
+``fast_path=False`` selects the exhaustive scalar oracle instead: every
+attached interface is bounded *and sampled* by the scalar loop, and every
+frame end is classified per arrival.  It exists for tests — the
+production path must reproduce it bit for bit (the A/B pin in
+``tests/scenarios/test_fast_path_ab.py``).
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ from repro.mac.timing import frame_airtime
 from repro.obs.probes import medium_probes
 from repro.radio.batch import LaneScratch, broadcast_samples
 from repro.radio.channel import Channel, LinkSample
-from repro.radio.error_models import frame_error_rate_batch
-from repro.radio.multibatch import PendingSlice, multibroadcast_samples
 from repro.radio.modulation import WifiRate
 from repro.sim import Priority, Simulator
 from repro.units import dbm_sum, dbm_sum_batch
@@ -107,47 +104,6 @@ class _Arrival:
         self.end = end
         self.interferers_dbm: list[float] = []
         self.half_duplex = False
-
-
-class _PendingTx:
-    """One queued (not yet evaluated) broadcast of the coalescing arm.
-
-    Everything order-sensitive was read at transmit time (``tx_seq``,
-    the candidate snapshot, the transmitter's position); the stochastic
-    evaluation is deferred to the instant-end drain, which is exact
-    because every channel draw is keyed by values captured here.
-    """
-
-    __slots__ = (
-        "tx_iface", "frame", "rate", "tx_pos", "tx_power", "tx_id",
-        "start", "end", "airtime", "tx_seq", "candidates",
-    )
-
-    def __init__(
-        self,
-        tx_iface: "NetworkInterface",
-        frame: Frame,
-        rate: WifiRate,
-        tx_pos: "Vec2",
-        tx_power: float,
-        tx_id: typing.Hashable,
-        start: float,
-        end: float,
-        airtime: float,
-        tx_seq: int,
-        candidates: list["NetworkInterface"],
-    ) -> None:
-        self.tx_iface = tx_iface
-        self.frame = frame
-        self.rate = rate
-        self.tx_pos = tx_pos
-        self.tx_power = tx_power
-        self.tx_id = tx_id
-        self.start = start
-        self.end = end
-        self.airtime = airtime
-        self.tx_seq = tx_seq
-        self.candidates = candidates
 
 
 def _post_draw_cause(delivered: bool, arrival: "_Arrival") -> LossCause:
@@ -233,52 +189,27 @@ class Medium:
         Arrivals whose mean power is more than this below the receiver
         noise floor are discarded without bookkeeping.
     fast_path:
-        When true (default), receivers are found through the spatial
-        neighbor index and hopeless links are culled before sampling.
-        When false, every attached interface is bounded and sampled — the
-        exhaustive A/B reference, bit-identical to the fast path.
-    batch:
-        When true (default), broadcasts toward at least
-        ``batch_min_candidates`` candidates are evaluated by the
-        vectorized batch channel kernel (:mod:`repro.radio.batch`) — one
-        NumPy pass over the whole candidate set instead of a per-receiver
-        Python loop.  Bit-identical to the scalar path by construction
-        (keyed draws + pinned float64 semantics); ``False`` forces the
-        scalar reference loop.  Orthogonal to ``fast_path``: candidate
-        *discovery* stays grid-or-exhaustive, only per-candidate
-        *evaluation* changes shape.
+        When true (default), the production path: receivers are found
+        through the spatial neighbor index, hopeless links are culled
+        before sampling, and candidate sets of at least
+        ``batch_min_candidates`` are evaluated by the vectorized batch
+        kernel (:mod:`repro.radio.batch`) — one NumPy pass over the
+        whole set instead of a per-receiver Python loop.  When false, the
+        exhaustive scalar oracle: every attached interface is bounded and
+        sampled by the per-receiver reference loop.  The two are
+        bit-identical by construction (keyed draws + pinned float64
+        semantics); the oracle exists so tests can prove it.
     batch_min_candidates:
         Below this candidate count the scalar loop wins (NumPy's fixed
         per-op overhead beats a short Python loop), so the batch kernel
         steps aside.  Purely a throughput knob — both paths produce the
         same arrivals.
-    cross_broadcast_batch:
-        When true (default), transmissions are not evaluated one at a
-        time: each ``transmit`` snapshots its order-sensitive facts
-        (``tx_seq``, candidates, positions) and queues the stochastic
-        evaluation, which an instant-end drain performs for *all*
-        same-instant broadcasts as one concatenated pass through
-        :mod:`repro.radio.multibatch`.  Same-end-time frame-end events
-        coalesce analogously.  This lets broadcasts individually below
-        ``batch_min_candidates`` clear the vectorization floor together
-        (their pooled lanes share one NumPy pass) and is bit-identical to the
-        one-at-a-time arm by the keyed-randomness argument — pinned by
-        the five-arm differential harness.  ``False`` keeps the legacy
-        synchronous path byte for byte.
-    cross_batch_min_lanes:
-        Extra lower bound on the *total* lane count (across all queued
-        broadcasts of the drain) for the concatenated NumPy pass; the
-        effective floor is ``max(batch_min_candidates,
-        cross_batch_min_lanes)``, so pooled lanes vectorize exactly when
-        the same number of lanes in one broadcast would — below it the
-        drain runs the scalar reference loop per lane, skipping the
-        array gather entirely.  Purely a throughput knob.
     cull_headroom_db:
         Shadowing boost granted to a link before it is declared
         unreachable: a receiver is culled when ``tx_power + rx_gain -
         pathloss - obstruction + headroom`` is below its sensitivity
         threshold.  The bound is part of the reception model — both the
-        fast and the exhaustive path apply it, which is what makes them
+        fast path and the oracle apply it, which is what makes them
         bit-identical.  ``None`` derives the provable worst case from
         the channel's clamped shadowing models (±4σ: exact pre-fast-path
         physics, but a much wider radius).  The default 12 dB is a
@@ -308,18 +239,11 @@ class Medium:
         "_trace",
         "_sensitivity_margin_db",
         "_fast_path",
-        "_batch",
         "_batch_min_candidates",
         "_cull_headroom_db",
         "_neighbor_refresh_s",
         "_max_speed_ms",
         "_neighbor_index_min_nodes",
-        "_cross_batch",
-        "_cross_batch_min_lanes",
-        "_pending",
-        "_pending_rx",
-        "_drain_time",
-        "_finish_registry",
         "_scratch",
         "_interfaces",
         "_ongoing",
@@ -327,7 +251,6 @@ class Medium:
         "_rx_static",
         "_obs",
         "_spans",
-        "_delivery_sink",
         "_tx_seq",
         "_index",
         "_index_version",
@@ -343,10 +266,7 @@ class Medium:
         trace: typing.Any | None = None,
         sensitivity_margin_db: float = 10.0,
         fast_path: bool = True,
-        batch: bool = True,
         batch_min_candidates: int = 8,
-        cross_broadcast_batch: bool = True,
-        cross_batch_min_lanes: int = 2,
         cull_headroom_db: float | None = 12.0,
         neighbor_refresh_s: float = 1.0,
         max_speed_ms: float = 100.0,
@@ -357,20 +277,8 @@ class Medium:
         self._trace = trace
         self._sensitivity_margin_db = sensitivity_margin_db
         self._fast_path = fast_path
-        self._batch = batch
         self._batch_min_candidates = batch_min_candidates
-        self._cross_batch = cross_broadcast_batch
-        self._cross_batch_min_lanes = cross_batch_min_lanes
-        # Coalescer state: broadcasts queued this instant, the union of
-        # their candidate interfaces (drain triggers), the instant that
-        # already scheduled a drain, frame-end groups keyed by end time,
-        # and the reusable lane-gather buffers.
-        self._pending: list[_PendingTx] = []
-        self._pending_rx: set[NetworkInterface] = set()
-        self._drain_time = -1.0
-        self._finish_registry: dict[
-            float, list[list[tuple[NetworkInterface, _Arrival]]]
-        ] = {}
+        # Reusable lane-gather buffers of the batch kernel.
         self._scratch = LaneScratch()
         if cull_headroom_db is None:
             cull_headroom_db = channel.shadow_headroom_db()
@@ -395,10 +303,6 @@ class Medium:
         # Both default to None, leaving the hot paths a single is-test.
         self._obs = medium_probes()
         self._spans = obs.tracer()
-        # Optional coalesced-delivery sink (see set_delivery_sink).
-        self._delivery_sink: typing.Callable[
-            [list[tuple["NetworkInterface", Frame, RxInfo]]], None
-        ] | None = None
         self._tx_seq = 0
         self._index: _NeighborIndex | None = None
         self._index_version = 0
@@ -419,18 +323,8 @@ class Medium:
 
     @property
     def fast_path(self) -> bool:
-        """Whether reception uses the culling fast path."""
+        """Whether reception runs the production path (false: the oracle)."""
         return self._fast_path
-
-    @property
-    def batch(self) -> bool:
-        """Whether reception uses the vectorized batch channel kernel."""
-        return self._batch
-
-    @property
-    def cross_broadcast_batch(self) -> bool:
-        """Whether same-instant broadcasts coalesce into one channel pass."""
-        return self._cross_batch
 
     @property
     def cull_headroom_db(self) -> float:
@@ -440,27 +334,6 @@ class Medium:
     def set_trace(self, trace: typing.Any | None) -> None:
         """Install or replace the trace collector."""
         self._trace = trace
-
-    def set_delivery_sink(
-        self,
-        sink: typing.Callable[
-            [list[tuple["NetworkInterface", Frame, RxInfo]]], None
-        ] | None,
-    ) -> None:
-        """Install a coalesced protocol-delivery sink (or remove it).
-
-        Without a sink, each frame-end event hands every successful
-        reception to its interface one at a time.  With a sink, the
-        frame-end event collects all of a broadcast's deliveries —
-        ``(receiver interface, frame, rx info)``, in arrival order — and
-        hands the whole batch to *sink* in one call, so a pooled
-        protocol engine (:class:`repro.core.engine.ProtocolPool`) can
-        step every receiver in a single pass.  The sink takes over
-        interface bookkeeping (``frames_received``, receive callbacks)
-        for the receivers it manages and must fall back to
-        ``iface.deliver`` for the rest.
-        """
-        self._delivery_sink = sink
 
     def attach(self, iface: "NetworkInterface") -> None:
         """Register an interface.  Each interface joins exactly one medium.
@@ -568,8 +441,6 @@ class Medium:
         interface is responsible for marking itself as transmitting for the
         returned duration.
         """
-        if self._cross_batch:
-            return self._transmit_coalesced(tx_iface, frame, rate)
         ongoing = self._ongoing
         if tx_iface not in ongoing:
             raise MacError(f"interface {tx_iface.name!r} not attached to this medium")
@@ -593,9 +464,7 @@ class Medium:
         tx_id = tx_iface.node_id
         candidates = self._candidates(tx_iface, tx_pos)
         finishing: list[tuple[NetworkInterface, _Arrival]] = []
-        use_batch = (
-            self._batch and len(candidates) >= self._batch_min_candidates
-        )
+        use_batch = fast and len(candidates) >= self._batch_min_candidates
         spans = self._spans
         if spans is not None:
             spans.begin(
@@ -654,420 +523,6 @@ class Medium:
                 airtime, self._finish_transmission, finishing, priority=Priority.URGENT
             )
         return airtime
-
-    # -- cross-broadcast coalescing -------------------------------------------
-
-    def _transmit_coalesced(
-        self, tx_iface: "NetworkInterface", frame: Frame, rate: WifiRate
-    ) -> float:
-        """The ``cross_broadcast_batch`` arm of :meth:`transmit`.
-
-        Performs every order-sensitive step synchronously — the tx-seq
-        increment, the trace row, the half-duplex kill of frames the
-        transmitter was receiving, the candidate snapshot — but defers
-        the stochastic candidate evaluation to :meth:`_drain_pending`,
-        which runs once per instant (``Priority.LATE``, after all normal
-        events) and evaluates *all* queued broadcasts in one pass.
-        Anything that could observe an arrival mid-instant (carrier
-        sense, a new transmitter's kill loop, a transmitter's flag
-        clearing at ``_tx_done``) drains the queue first, so no event
-        can tell the arms apart.
-        """
-        ongoing = self._ongoing
-        if tx_iface not in ongoing:
-            raise MacError(f"interface {tx_iface.name!r} not attached to this medium")
-        if self._pending and tx_iface in self._pending_rx:
-            # Queued broadcasts may hold candidate lanes toward this
-            # transmitter; admit them now so the kill loop below (and
-            # mutual-interference pairing) sees exactly the scalar state.
-            self._drain_pending()
-        now = self._sim.now
-        airtime = frame_airtime(frame.size_bytes, rate)
-        end = now + airtime
-        tx_pos = tx_iface.position()
-        self._tx_seq += 1
-        tx_seq = self._tx_seq
-        if self._trace is not None:
-            self._trace.on_tx(now, tx_iface.node_id, frame, rate)
-        # A station that starts transmitting kills anything it was receiving.
-        for arrival in ongoing[tx_iface]:
-            arrival.half_duplex = True
-        candidates = self._candidates(tx_iface, tx_pos)
-        if candidates is self._interfaces:
-            # The exhaustive/small-scenario discovery path returns the
-            # live attach list; snapshot it so a same-instant attach
-            # cannot grow a queued broadcast's candidate set.
-            candidates = list(candidates)
-        self._pending.append(_PendingTx(
-            tx_iface, frame, rate, tx_pos, tx_iface.config.tx_power_dbm,
-            tx_iface.node_id, now, end, airtime, tx_seq, candidates,
-        ))
-        self._pending_rx.update(candidates)
-        if self._drain_time != now:
-            self._drain_time = now
-            self._sim.at_instant_end(self._drain_pending)
-        return airtime
-
-    def on_tx_ending(self, iface: "NetworkInterface") -> None:
-        """Hook from the interface just before it clears ``transmitting``.
-
-        A broadcast queued earlier this instant must see the flag still
-        up when its lane toward *iface* is admitted (the scalar arm read
-        it at transmit time), so the queue drains before the clear.
-        """
-        if self._pending and iface in self._pending_rx:
-            self._drain_pending()
-
-    def _drain_pending(self) -> None:
-        """Evaluate every queued broadcast in one concatenated pass.
-
-        Gathers all pending broadcasts' candidate lanes into flat scratch
-        columns, runs the cross-broadcast kernel once (or the scalar
-        reference loop, gather-free, when the pooled lanes stay under
-        the ``max(batch_min_candidates, cross_batch_min_lanes)``
-        vectorization floor), then admits arrivals broadcast
-        by broadcast in FIFO — i.e. ``tx_seq`` — order, which reproduces
-        the scalar arm's admission order exactly.  Frame-end events with
-        equal end times are merged into one coalesced evaluation.
-        """
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
-        self._pending_rx.clear()
-        now = self._sim.now
-        obs_probes = self._obs
-        spans = self._spans
-        # The drain vectorizes only above the same amortisation floor as
-        # the legacy arm: a handful of lanes loses to the scalar loop no
-        # matter how they are pooled, so sub-floor drains (the common
-        # case when broadcasts rarely coincide) skip the gather entirely.
-        # The candidate count is an upper bound — it may include the
-        # transmitter's own lane — which only wobbles the *path* choice
-        # at the boundary; both paths are bit-identical by construction.
-        # The batch knob keeps its meaning under coalescing: with
-        # ``batch=False`` every lane still samples through the scalar
-        # reference pipeline (only the event structure coalesces).
-        use_multibatch = self._batch and sum(
-            len(p.candidates) for p in pending
-        ) >= max(self._batch_min_candidates, self._cross_batch_min_lanes)
-        if use_multibatch and len(pending) == 1:
-            # Nothing pooled this instant (the overwhelmingly common case
-            # in protocol rounds, where CSMA back-off jitters broadcasts
-            # apart): run the legacy single-broadcast batch kernel
-            # directly — same gather, same ``broadcast_samples`` pass —
-            # instead of paying the multibatch slicing machinery for a
-            # one-slice pass.
-            p = pending[0]
-            finishing: list[tuple[NetworkInterface, _Arrival]] = []
-            if spans is not None:
-                spans.begin(
-                    "broadcast", cat="medium", sim_time=now, tx=str(p.tx_id),
-                    candidates=len(p.candidates), path="batch",
-                )
-            self._receive_batch(
-                p.tx_iface, p.candidates, p.frame, p.rate, p.tx_pos,
-                p.tx_power, p.tx_id, p.start, p.end, p.tx_seq, finishing,
-            )
-            if obs_probes is not None:
-                obs_probes.on_broadcast(len(p.candidates), len(finishing), True)
-            if spans is not None:
-                spans.end(admitted=len(finishing))
-            if finishing:
-                self._register_finish(p.end, finishing)
-            return
-        if use_multibatch:
-            static = self._rx_static
-            scratch = self._scratch
-            scratch.reserve(sum(len(p.candidates) for p in pending))
-            rx_xs = scratch.rx_xs
-            rx_ys = scratch.rx_ys
-            rx_gains = scratch.rx_gains
-            rx_floors = scratch.rx_floors
-            rx_ifaces: list[NetworkInterface] = []
-            rx_ids: list[typing.Hashable] = []
-            slices: list[PendingSlice] = []
-            # Mobility batch groups pool across *all* queued broadcasts —
-            # every lane shares the drain instant, so one vectorized query
-            # per batch key covers lanes of different transmitters.
-            groups: dict[object, tuple[list[int], list[object]]] = {}
-            scalar_pos: list[int] = []
-            lane = 0
-            for p in pending:
-                start = lane
-                tx_iface = p.tx_iface
-                for rx_iface in p.candidates:
-                    if rx_iface is tx_iface:
-                        continue
-                    node_id, gain, floor, key, mobility = static[rx_iface]
-                    rx_ifaces.append(rx_iface)
-                    rx_ids.append(node_id)
-                    rx_gains[lane] = gain
-                    rx_floors[lane] = floor
-                    if key is None:
-                        scalar_pos.append(lane)
-                    else:
-                        group = groups.get(key)
-                        if group is None:
-                            groups[key] = ([lane], [mobility])
-                        else:
-                            group[0].append(lane)
-                            group[1].append(mobility)
-                    lane += 1
-                scratch.tx_xs[start:lane] = p.tx_pos.x
-                scratch.tx_ys[start:lane] = p.tx_pos.y
-                scratch.tx_powers[start:lane] = p.tx_power
-                scratch.tx_seqs[start:lane] = p.tx_seq
-                slices.append(
-                    PendingSlice(p.tx_id, p.tx_pos, p.tx_power, p.tx_seq, start, lane)
-                )
-            total = lane
-            for indices, models in groups.values():
-                if len(indices) < 4:
-                    # Tiny group: the vectorized query's fixed overhead
-                    # loses to a couple of scalar calls (same values
-                    # either way).
-                    scalar_pos.extend(indices)
-                    continue
-                group_xs, group_ys = models[0].positions_at_time(models, now)
-                lanes = np.array(indices)
-                rx_xs[lanes] = group_xs
-                rx_ys[lanes] = group_ys
-            for i in scalar_pos:
-                pos = rx_ifaces[i].position()
-                rx_xs[i] = pos.x
-                rx_ys[i] = pos.y
-            if obs_probes is not None:
-                obs_probes.lanes.observe(total)
-                obs_probes.coalesced_broadcasts.value += len(pending)
-            if spans is not None:
-                spans.begin(
-                    "multibatch-kernel", cat="medium",
-                    lanes=total, broadcasts=len(pending),
-                )
-            results = multibroadcast_samples(
-                self._channel,
-                slices,
-                rx_ids,
-                scratch.tx_xs[:total],
-                scratch.tx_ys[:total],
-                rx_xs[:total],
-                rx_ys[:total],
-                rx_gains[:total],
-                rx_floors[:total],
-                scratch.tx_powers[:total],
-                scratch.tx_seqs[:total],
-                self._cull_headroom_db,
-                now,
-            )
-            if spans is not None:
-                spans.end(kept=sum(len(r.kept) for r in results))
-        for k, p in enumerate(pending):
-            finishing: list[tuple[NetworkInterface, _Arrival]] = []
-            if spans is not None:
-                spans.begin(
-                    "broadcast", cat="medium", sim_time=now, tx=str(p.tx_id),
-                    candidates=len(p.candidates),
-                    path="multibatch" if use_multibatch else "scalar",
-                )
-            if use_multibatch:
-                sl = slices[k]
-                result = results[k]
-                rx_power = result.rx_power_dbm.tolist()
-                mean_power = result.mean_rx_power_dbm.tolist()
-                distance = result.distance_m.tolist()
-                for j, i in enumerate(result.kept.tolist()):
-                    sample = LinkSample(
-                        rx_power_dbm=rx_power[j],
-                        mean_rx_power_dbm=mean_power[j],
-                        distance_m=distance[j],
-                    )
-                    self._admit_arrival(
-                        rx_ifaces[sl.start + i],
-                        _Arrival(p.frame, p.rate, sample, p.start, p.end),
-                        finishing,
-                    )
-            else:
-                self._drain_scalar(p, finishing)
-            if obs_probes is not None:
-                obs_probes.on_broadcast(
-                    len(p.candidates), len(finishing), use_multibatch
-                )
-            if spans is not None:
-                spans.end(admitted=len(finishing))
-            if finishing:
-                self._register_finish(p.end, finishing)
-
-    def _register_finish(
-        self,
-        end: float,
-        finishing: list[tuple["NetworkInterface", _Arrival]],
-    ) -> None:
-        """Queue one broadcast's arrivals for the coalesced frame end.
-
-        URGENT for the same reason as the legacy arm; one event serves
-        every broadcast sharing the end time.
-        """
-        registry = self._finish_registry
-        group_list = registry.get(end)
-        if group_list is None:
-            registry[end] = [finishing]
-            self._sim.schedule_at(
-                end, self._finish_coalesced, end, priority=Priority.URGENT
-            )
-        else:
-            group_list.append(finishing)
-
-    def _drain_scalar(
-        self,
-        p: _PendingTx,
-        finishing: list[tuple["NetworkInterface", _Arrival]],
-    ) -> None:
-        """Scalar-floor evaluation of one queued broadcast.
-
-        The same per-receiver pipeline as the legacy scalar loop — the
-        reference semantics — used when the whole drain holds too few
-        lanes to amortise the NumPy pass.  Iterates the captured
-        candidate snapshot directly so sub-floor drains never pay the
-        array gather.
-        """
-        channel = self._channel
-        fast = self._fast_path
-        headroom = self._cull_headroom_db
-        static = self._rx_static
-        tx_iface = p.tx_iface
-        tx_pos = p.tx_pos
-        tx_power = p.tx_power
-        scalar_samples = 0
-        for rx_iface in p.candidates:
-            if rx_iface is tx_iface:
-                continue
-            _, rx_gain, threshold, _, _ = static[rx_iface]
-            rx_pos = rx_iface.position()
-            budget = channel.link_budget(tx_pos, rx_pos)
-            reachable = tx_power + rx_gain - budget[1] + headroom >= threshold
-            if fast and not reachable:
-                continue  # culled without consuming any stochastic draw
-            sample = channel.sample(
-                p.tx_id,
-                rx_iface.node_id,
-                tx_pos,
-                rx_pos,
-                tx_power,
-                rx_gain,
-                time=p.start,
-                tx_seq=p.tx_seq,
-                budget=budget,
-            )
-            scalar_samples += 1
-            if not reachable or sample.mean_rx_power_dbm < threshold:
-                continue  # far out of range: the radio never syncs
-            self._admit_arrival(
-                rx_iface,
-                _Arrival(p.frame, p.rate, sample, p.start, p.end),
-                finishing,
-            )
-        if self._obs is not None:
-            self._obs.scalar_floor_calls.value += scalar_samples
-
-    def _finish_coalesced(self, end: float) -> None:
-        """Frame end for every broadcast whose transmission ends at *end*.
-
-        A single-group end time takes the legacy per-broadcast path
-        unchanged.  Multiple groups evaluate their frame-error curves as
-        one vectorized pass per ``(rate, frame size)`` bucket — exact,
-        the curve is elementwise-pure — while the Bernoulli draws, loss
-        causes, trace rows and deliveries run per arrival in the scalar
-        event order (groups in registration order, arrivals within), so
-        the channel RNG stream and every observable side effect match
-        the one-event-per-broadcast arm bit for bit.
-        """
-        groups = self._finish_registry.pop(end)
-        if len(groups) == 1:
-            self._finish_transmission(groups[0])
-            return
-        channel = self._channel
-        cls = type(channel)
-        if (
-            cls.frame_delivered is not Channel.frame_delivered
-            or cls.frames_delivered_batch is not Channel.frames_delivered_batch
-        ):
-            # Scripted delivery outcomes: evaluate per broadcast through
-            # the legacy path, in registration order (event order).
-            for finishing in groups:
-                self._finish_transmission(finishing)
-            return
-        obs_probes = self._obs
-        if obs_probes is not None:
-            obs_probes.frame_end_batch.value += len(groups)
-        flat: list[tuple[NetworkInterface, _Arrival]] = []
-        bounds: list[int] = [0]
-        for finishing in groups:
-            flat.extend(finishing)
-            bounds.append(len(flat))
-        n = len(flat)
-        snrs: list[float] = []
-        npis: list[float] = []
-        causes: list[LossCause | None] = [None] * n
-        pending_lanes: list[int] = []
-        for i, (rx_iface, arrival) in enumerate(flat):
-            npi, snr_db, cause = self._pre_classify(rx_iface, arrival)
-            npis.append(npi)
-            snrs.append(snr_db)
-            causes[i] = cause
-            if cause is None:
-                pending_lanes.append(i)
-        if pending_lanes:
-            # FER is pure per (rate, size, SINR): bucket by curve, then
-            # draw sequentially in flat (= scalar event) order.
-            buckets: dict[tuple, list[int]] = {}
-            for j, i in enumerate(pending_lanes):
-                arrival = flat[i][1]
-                key = (arrival.rate, arrival.frame.size_bytes)
-                buckets.setdefault(key, []).append(j)
-            fers = np.empty(len(pending_lanes))
-            for (rate, size_bytes), members in buckets.items():
-                sinr = np.array(
-                    [
-                        flat[pending_lanes[j]][1].sample.rx_power_dbm
-                        - npis[pending_lanes[j]]
-                        for j in members
-                    ]
-                )
-                fers[members] = frame_error_rate_batch(rate, sinr, size_bytes)
-            outcomes = channel.delivery_draws(fers.tolist())
-            for j, i in enumerate(pending_lanes):
-                causes[i] = _post_draw_cause(outcomes[j], flat[i][1])
-        now = self._sim.now
-        trace = self._trace
-        ongoing = self._ongoing
-        sink = self._delivery_sink
-        for g in range(len(groups)):
-            delivered: list[tuple[NetworkInterface, Frame, RxInfo]] = []
-            for i in range(bounds[g], bounds[g + 1]):
-                rx_iface, arrival = flat[i]
-                ongoing[rx_iface].remove(arrival)
-                cause = causes[i]
-                if trace is not None:
-                    trace.on_rx(
-                        now, rx_iface.node_id, arrival.frame, cause, snrs[i],
-                        arrival.sample.rx_power_dbm,
-                    )
-                if cause is LossCause.DELIVERED:
-                    delivered.append((
-                        rx_iface,
-                        arrival.frame,
-                        RxInfo(now, arrival.sample.rx_power_dbm, snrs[i]),
-                    ))
-            if not delivered:
-                continue
-            if obs_probes is not None:
-                obs_probes.delivery_lanes.observe(len(delivered))
-            if sink is not None:
-                sink(delivered)
-            else:
-                for rx_iface, frame, info in delivered:
-                    rx_iface.deliver(frame, info)
 
     def _admit_arrival(
         self,
@@ -1187,19 +642,18 @@ class Medium:
     def _finish_transmission(
         self, finishing: list[tuple["NetworkInterface", _Arrival]]
     ) -> None:
-        """Frame end for one broadcast: classify all arrivals, deliver once.
+        """Frame end for one broadcast: classify all arrivals, then deliver.
 
         Both classification paths collect the successful receptions into
-        one ``delivered`` list (arrival order) and dispatch at the end —
-        through the delivery sink as a single batched call when one is
-        installed, through ``iface.deliver`` per receiver otherwise.
-        Deferring delivery past classification is exact: channel draws
-        are keyed per (link, transmission) and protocol reactions only
-        schedule future events, so no classification can observe a
-        delivery's side effects either way.
+        one ``delivered`` list (arrival order), handed to each receiver's
+        ``iface.deliver`` once every arrival is classified.  Deferring
+        delivery past classification is exact: channel draws are keyed
+        per (link, transmission) and protocol reactions only schedule
+        future events, so no classification can observe a delivery's
+        side effects either way.
         """
         delivered: list[tuple[NetworkInterface, Frame, RxInfo]] = []
-        if self._batch and len(finishing) >= self._batch_min_candidates:
+        if self._fast_path and len(finishing) >= self._batch_min_candidates:
             if self._obs is not None:
                 self._obs.frame_end_batch.value += 1
             self._finish_batch(finishing, delivered)
@@ -1212,12 +666,8 @@ class Medium:
             return
         if self._obs is not None:
             self._obs.delivery_lanes.observe(len(delivered))
-        sink = self._delivery_sink
-        if sink is not None:
-            sink(delivered)
-        else:
-            for rx_iface, frame, info in delivered:
-                rx_iface.deliver(frame, info)
+        for rx_iface, frame, info in delivered:
+            rx_iface.deliver(frame, info)
 
     def _finish_batch(
         self,
@@ -1352,11 +802,6 @@ class Medium:
         """
         if iface.transmitting:
             return True
-        if self._pending and iface in self._pending_rx:
-            # Queued same-instant broadcasts may carry energy toward this
-            # interface; admit them before reading the detector (only
-            # candidate lanes can matter — non-candidates keep coalescing).
-            self._drain_pending()
         arrivals = self._ongoing[iface]
         if not arrivals:
             return False

@@ -155,20 +155,6 @@ def render_stats_report(
             f"  queue depth       max {_fmt_count(depth['max'])}, "
             f"mean {depth['mean']:.1f}"
         )
-    slots = snapshot.get("sim.wheel_slots")
-    overflow = snapshot.get("sim.wheel_overflow")
-    overflow_pushes = counter("sim.wheel_overflow_pushes")
-    known.update(("sim.wheel_slots", "sim.wheel_overflow"))
-    if (slots and slots.get("samples")) or overflow_pushes:
-        # Peaks, not the end-of-run level: the wheel is drained (near 0)
-        # by the time the snapshot is taken.
-        occupied = slots["max"] if slots else 0
-        deferred = overflow["max"] if overflow else 0
-        lines.append(
-            f"  wheel             {_fmt_count(occupied):>10} slots occupied peak, "
-            f"{_fmt_count(deferred)} beyond horizon peak "
-            f"({_fmt_count(overflow_pushes)} overflow pushes)"
-        )
     costs = snapshot.get("sim.cost_centers")
     known.add("sim.cost_centers")
     if costs and costs["rows"]:
@@ -217,7 +203,7 @@ def render_stats_report(
             mean_rx = delivery["total"] / delivery["count"]
             lines.append(
                 f"  delivery lanes    mean {mean_rx:.1f} receivers per "
-                f"coalesced frame end, max {_fmt_count(delivery['max'])}"
+                f"frame end, max {_fmt_count(delivery['max'])}"
             )
     else:
         known.update((

@@ -51,20 +51,9 @@ def callback_label(callback: Callable[..., Any]) -> str:
 
 
 class KernelProbes:
-    """Event-kernel metrics: push/fire/cancel counts, depth, cost centers.
+    """Event-kernel metrics: push/fire/cancel counts, depth, cost centers."""
 
-    The three ``wheel_*`` probes watch the slot-wheel scheduler (the
-    default event queue): how many calendar slots hold pending events,
-    how many entries sit in the far-future overflow tier, and how many
-    pushes were routed there.  A healthy workload keeps overflow pushes
-    near zero — a climbing counter means event times routinely land past
-    the wheel horizon and the bucket width deserves a look.
-    """
-
-    __slots__ = (
-        "pushed", "fired", "cancelled", "depth", "costs",
-        "wheel_slots", "wheel_overflow", "overflow_pushed",
-    )
+    __slots__ = ("pushed", "fired", "cancelled", "depth", "costs")
 
     def __init__(self, reg: MetricsRegistry) -> None:
         self.pushed = reg.counter("sim.events_pushed")
@@ -72,9 +61,6 @@ class KernelProbes:
         self.cancelled = reg.counter("sim.events_cancelled")
         self.depth = reg.gauge("sim.queue_depth")
         self.costs = reg.table("sim.cost_centers")
-        self.wheel_slots = reg.gauge("sim.wheel_slots")
-        self.wheel_overflow = reg.gauge("sim.wheel_overflow")
-        self.overflow_pushed = reg.counter("sim.wheel_overflow_pushes")
 
     def record_fire(
         self, callback: Callable[..., Any], seconds: float, depth: int
@@ -98,7 +84,6 @@ class MediumProbes:
         "frame_end_batch",
         "frame_end_scalar",
         "delivery_lanes",
-        "coalesced_broadcasts",
         "scalar_floor_calls",
     )
 
@@ -111,17 +96,11 @@ class MediumProbes:
         self.lanes = reg.histogram("medium.batch_lanes", lo=1.0, hi=1e4)
         self.frame_end_batch = reg.counter("medium.frame_end_batch")
         self.frame_end_scalar = reg.counter("medium.frame_end_scalar")
-        # Broadcasts whose candidate lanes rode a concatenated
-        # cross-broadcast pass (the instant's drain pooled enough lanes
-        # to clear the vectorization floor), and scalar channel.sample calls issued
-        # by the medium's reception paths (the legacy sub-batch_min loop
-        # and the coalescer's scalar floor) — the before/after pair the
-        # cross-broadcast bench compares.
-        self.coalesced_broadcasts = reg.counter("medium.coalesced_broadcasts")
+        # Scalar channel.sample calls issued by the medium's per-receiver
+        # loop (candidate sets below batch_min_candidates, and every
+        # broadcast of the oracle).
         self.scalar_floor_calls = reg.counter("medium.scalar_floor_calls")
-        # Receivers per *coalesced* frame-end delivery (the batched
-        # protocol-delivery path dispatches one event per broadcast and
-        # fans out to every successful receiver inside it).
+        # Successful receivers per frame-end event (one per broadcast).
         self.delivery_lanes = reg.histogram("medium.delivery_lanes", lo=1.0, hi=1e4)
 
     def on_broadcast(self, candidates: int, admitted: int, batch: bool) -> None:

@@ -76,17 +76,7 @@ class LaneScratch:
     the next gather reuses the buffers.
     """
 
-    __slots__ = (
-        "rx_xs",
-        "rx_ys",
-        "rx_gains",
-        "rx_floors",
-        "tx_xs",
-        "tx_ys",
-        "tx_powers",
-        "tx_seqs",
-        "_capacity",
-    )
+    __slots__ = ("rx_xs", "rx_ys", "rx_gains", "rx_floors", "_capacity")
 
     def __init__(self, capacity: int = 64) -> None:
         self._capacity = 0
@@ -101,10 +91,6 @@ class LaneScratch:
         self.rx_ys = np.empty(capacity, dtype=np.float64)
         self.rx_gains = np.empty(capacity, dtype=np.float64)
         self.rx_floors = np.empty(capacity, dtype=np.float64)
-        self.tx_xs = np.empty(capacity, dtype=np.float64)
-        self.tx_ys = np.empty(capacity, dtype=np.float64)
-        self.tx_powers = np.empty(capacity, dtype=np.float64)
-        self.tx_seqs = np.empty(capacity, dtype=np.int64)
         self._capacity = capacity
 
 

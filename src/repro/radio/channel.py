@@ -257,68 +257,6 @@ class Channel:
         fade = self.fading.sample_db_batch(link_hashes, tx_seq)
         return mean_power + fade, mean_power
 
-    def sample_multibatch(
-        self,
-        tx_ids: list[Hashable],
-        rx_ids: list[Hashable],
-        tx_xs: np.ndarray,
-        tx_ys: np.ndarray,
-        rx_xs: np.ndarray,
-        rx_ys: np.ndarray,
-        tx_powers_dbm: np.ndarray,
-        rx_gains_db: np.ndarray,
-        time: float,
-        tx_seqs: np.ndarray,
-        budget: tuple[np.ndarray, np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Draw realisations for lanes spanning *several* transmissions.
-
-        The cross-broadcast counterpart of :meth:`sample_batch`: every
-        per-transmission scalar (transmitter id/position/power and
-        ``tx_seq``) becomes a per-lane array, so candidate lanes of all
-        same-instant broadcasts evaluate in one keyed pass.  Each lane
-        stays bit-identical to the scalar :meth:`sample` call because
-        every stochastic component is a pure function of its lane key.
-        Subclasses that override :meth:`sample` are honoured by falling
-        back to the scalar call per lane.
-        """
-        distances, losses = budget
-        n = len(rx_ids)
-        if type(self).sample is not Channel.sample:
-            rx_power = np.empty(n)
-            mean_power = np.empty(n)
-            for i, rx_id in enumerate(rx_ids):
-                link_sample = self.sample(
-                    tx_ids[i],
-                    rx_id,
-                    Vec2(float(tx_xs[i]), float(tx_ys[i])),
-                    Vec2(float(rx_xs[i]), float(rx_ys[i])),
-                    float(tx_powers_dbm[i]),
-                    float(rx_gains_db[i]),
-                    time=time,
-                    tx_seq=int(tx_seqs[i]),
-                    budget=(float(distances[i]), float(losses[i])),
-                )
-                rx_power[i] = link_sample.rx_power_dbm
-                mean_power[i] = link_sample.mean_rx_power_dbm
-            return rx_power, mean_power
-        links: list[tuple] = []
-        hash_list: list[int] = []
-        cache_get = self._links.get
-        for tx_id, rx_id in zip(tx_ids, rx_ids):
-            cached = cache_get((tx_id, rx_id))
-            if cached is None:
-                cached = self._link(tx_id, rx_id)
-            links.append(cached[0])
-            hash_list.append(cached[1])
-        link_hashes = np.array(hash_list, dtype=np.uint64)
-        shadow = self.shadowing.sample_db_multibatch(
-            links, link_hashes, tx_xs, tx_ys, rx_xs, rx_ys, distances, time
-        )
-        mean_power = tx_powers_dbm + rx_gains_db - losses - shadow
-        fade = self.fading.sample_db_batch(link_hashes, tx_seqs)
-        return mean_power + fade, mean_power
-
     def frame_delivered(
         self,
         sample: LinkSample,
@@ -374,20 +312,6 @@ class Channel:
         )
         random = self._rng.random
         return [bool(random() >= fer) for fer in fers.tolist()]
-
-    def delivery_draws(self, fers: list[float]) -> list[bool]:
-        """Sequential Bernoulli delivery draws for precomputed FERs.
-
-        The medium's coalesced frame-end pass computes the (pure) FER
-        values itself — bucketed per ``(rate, frame size)`` across all
-        broadcasts ending at one instant — and calls this once with the
-        lanes in scalar event order, so the shared Bernoulli stream
-        advances exactly as the per-broadcast paths would.  Only used
-        when :meth:`frame_delivered` is not overridden (scripted
-        channels keep their per-arrival calls).
-        """
-        random = self._rng.random
-        return [bool(random() >= fer) for fer in fers]
 
     def reset(self) -> None:
         """Clear per-link shadowing state (between rounds)."""

@@ -34,28 +34,14 @@ class FadingModel(abc.ABC):
     def sample_db(self, key: tuple[int, ...] | None = None) -> float:
         """A fading gain in dB (typically negative-mean) for *key*."""
 
-    def sample_db_batch(
-        self, link_hashes: np.ndarray, tx_seq: int | np.ndarray
-    ) -> np.ndarray:
-        """Fading for a batch of keyed lanes at once.
+    def sample_db_batch(self, link_hashes: np.ndarray, tx_seq: int) -> np.ndarray:
+        """Fading for one transmission's candidate lanes at once.
 
         Each lane draws for key ``(link_hash, tx_seq)`` — the keyed form
         the medium uses — and must be bit-identical to mapping
-        :meth:`sample_db` over the hashes.  ``tx_seq`` is a scalar for
-        one transmission's candidate set, or an aligned array when the
-        medium coalesces lanes of several transmissions into one pass
-        (the keyed models broadcast either form).  This fallback loops
-        the scalar draw, so custom models stay exact on both shapes.
+        :meth:`sample_db` over the hashes.  This fallback loops the
+        scalar draw, so custom models stay exact.
         """
-        if isinstance(tx_seq, np.ndarray):
-            seqs = tx_seq.tolist()
-            return np.array(
-                [
-                    self.sample_db((int(h), int(seq)))
-                    for h, seq in zip(link_hashes.tolist(), seqs)
-                ],
-                dtype=np.float64,
-            )
         return np.array(
             [self.sample_db((int(h), tx_seq)) for h in link_hashes.tolist()],
             dtype=np.float64,

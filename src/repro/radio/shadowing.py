@@ -102,37 +102,6 @@ class ShadowingModel(abc.ABC):
             out[i] = self.sample_db(link, tx_pos, Vec2(xs[i], ys[i]), time)
         return out
 
-    def sample_db_multibatch(
-        self,
-        links: list[LinkKey],
-        link_hashes: np.ndarray,
-        tx_xs: np.ndarray,
-        tx_ys: np.ndarray,
-        rx_xs: np.ndarray,
-        rx_ys: np.ndarray,
-        distances_m: np.ndarray,
-        time: float = 0.0,
-    ) -> np.ndarray:
-        """Shadowing for lanes concatenated from *several* broadcasts.
-
-        Unlike :meth:`sample_db_batch` the transmitter position varies
-        per lane (``tx_xs``/``tx_ys``), so candidate sets of different
-        same-instant transmissions can share one vectorized pass.  Must
-        be bit-identical to mapping :meth:`sample_db` per lane; this
-        fallback does exactly that, so custom models stay correct
-        inside the medium's cross-broadcast coalescer without opting in.
-        """
-        out = np.empty(len(links), dtype=np.float64)
-        txx = tx_xs.tolist()
-        txy = tx_ys.tolist()
-        xs = rx_xs.tolist()
-        ys = rx_ys.tolist()
-        for i, link in enumerate(links):
-            out[i] = self.sample_db(
-                link, Vec2(txx[i], txy[i]), Vec2(xs[i], ys[i]), time
-            )
-        return out
-
     def max_boost_db(self) -> float:
         """Largest positive value :meth:`sample_db` can ever return.
 
@@ -157,11 +126,6 @@ class NoShadowing(ShadowingModel):
 
     def sample_db_batch(
         self, links, link_hashes, tx_pos, rx_xs, rx_ys, distances_m, time=0.0
-    ) -> np.ndarray:
-        return np.zeros(len(links), dtype=np.float64)
-
-    def sample_db_multibatch(
-        self, links, link_hashes, tx_xs, tx_ys, rx_xs, rx_ys, distances_m, time=0.0
     ) -> np.ndarray:
         return np.zeros(len(links), dtype=np.float64)
 
@@ -345,37 +309,6 @@ class GudmundsonShadowing(ShadowingModel):
         sx = (tx_pos.x + rx_xs) * inv_cell
         sy = (tx_pos.y + rx_ys) * inv_cell
         sz = distances_m * inv_cell
-        return self._field_batch(link_hashes, sx, sy, sz)
-
-    def sample_db_multibatch(
-        self,
-        links: list[LinkKey],
-        link_hashes: np.ndarray,
-        tx_xs: np.ndarray,
-        tx_ys: np.ndarray,
-        rx_xs: np.ndarray,
-        rx_ys: np.ndarray,
-        distances_m: np.ndarray,
-        time: float = 0.0,
-    ) -> np.ndarray:
-        """Cross-broadcast batch: per-lane transmitter coordinates.
-
-        ``(tx_x + rx_x)`` per lane matches the scalar index expression
-        operand for operand, so lanes of different transmitters share one
-        interpolation pass bit-identically.
-        """
-        if len(links) == 0:
-            return np.zeros(0, dtype=np.float64)
-        inv_cell = 1.0 / self.decorrelation_distance_m
-        sx = (tx_xs + rx_xs) * inv_cell
-        sy = (tx_ys + rx_ys) * inv_cell
-        sz = distances_m * inv_cell
-        return self._field_batch(link_hashes, sx, sy, sz)
-
-    def _field_batch(
-        self, link_hashes: np.ndarray, sx: np.ndarray, sy: np.ndarray, sz: np.ndarray
-    ) -> np.ndarray:
-        """Interpolate the lattice at field coordinates ``(sx, sy, sz)``."""
         ixf = np.floor(sx)
         iyf = np.floor(sy)
         izf = np.floor(sz)
@@ -415,11 +348,7 @@ class GudmundsonShadowing(ShadowingModel):
         """The ``(8, n)`` corner Gaussians for each candidate's cell.
 
         Cache hits resolve with one dict probe per candidate; all misses
-        evaluate as a single ``(8, m)`` vectorized keyed draw, deduped by
-        cell key first — a coalesced cross-broadcast pass routinely holds
-        the same cell twice (reciprocal links share both the canonical
-        hash and the symmetric geometry indices), and the draws are pure,
-        so each unique cell is drawn once and fanned out.
+        evaluate as a single ``(8, m)`` vectorized keyed draw.
         """
         n = ix.shape[0]
         blocks = self._corner_blocks
@@ -429,17 +358,10 @@ class GudmundsonShadowing(ShadowingModel):
         iz_list = iz.tolist()
         rows: list[tuple[float, ...] | None] = [None] * n
         misses: list[int] = []
-        miss_keys: dict[tuple[int, int, int, int], list[int]] = {}
         for i in range(n):
-            key = (h_list[i], ix_list[i], iy_list[i], iz_list[i])
-            block = blocks.get(key)
+            block = blocks.get((h_list[i], ix_list[i], iy_list[i], iz_list[i]))
             if block is None:
-                lanes = miss_keys.get(key)
-                if lanes is None:
-                    miss_keys[key] = [i]
-                    misses.append(i)
-                else:
-                    lanes.append(i)
+                misses.append(i)
             else:
                 rows[i] = block
         if misses:
@@ -456,12 +378,10 @@ class GudmundsonShadowing(ShadowingModel):
             )
             if len(blocks) + len(misses) > self._MAX_BLOCK_CACHE:
                 blocks.clear()
-            for j, lanes in enumerate(miss_keys.values()):
+            for j, i in enumerate(misses):
                 block = tuple(values[:, j].tolist())
-                i = lanes[0]
                 blocks[(h_list[i], ix_list[i], iy_list[i], iz_list[i])] = block
-                for lane in lanes:
-                    rows[lane] = block
+                rows[i] = block
         return np.array(rows, dtype=np.float64).T
 
     def max_boost_db(self) -> float:
@@ -610,16 +530,6 @@ class TemporalTxShadowing(ShadowingModel):
             )
         return out
 
-    def sample_db_multibatch(
-        self, links, link_hashes, tx_xs, tx_ys, rx_xs, rx_ys, distances_m, time=0.0
-    ) -> np.ndarray:
-        # The OU process depends only on (link, time), never on geometry,
-        # so lanes of different transmitters batch exactly like one
-        # broadcast's candidate set.
-        return self.sample_db_batch(
-            links, link_hashes, None, rx_xs, rx_ys, distances_m, time
-        )
-
     def _advance_batch(
         self, pending: dict[Hashable, list[int]], k: int, out: np.ndarray
     ) -> None:
@@ -727,16 +637,6 @@ class CompositeShadowing(ShadowingModel):
         for component in self.components:
             total = total + component.sample_db_batch(
                 links, link_hashes, tx_pos, rx_xs, rx_ys, distances_m, time
-            )
-        return total
-
-    def sample_db_multibatch(
-        self, links, link_hashes, tx_xs, tx_ys, rx_xs, rx_ys, distances_m, time=0.0
-    ) -> np.ndarray:
-        total = np.zeros(len(links), dtype=np.float64)
-        for component in self.components:
-            total = total + component.sample_db_multibatch(
-                links, link_hashes, tx_xs, tx_ys, rx_xs, rx_ys, distances_m, time
             )
         return total
 

@@ -29,7 +29,6 @@ from repro.scenarios import channels
 from repro.scenarios.common import (
     AP_NODE_ID,
     build_medium,
-    build_protocol_pool,
     car_ids as _car_ids,
     collect_matrices,
     make_flows,
@@ -150,18 +149,12 @@ def build_bidirectional_round(
     cfg: BidirectionalConfig, round_index: int
 ) -> BidirectionalRoundContext:
     """Wire one bidirectional pass."""
-    sim = Simulator(
-        seed=round_seed(cfg.seed, round_index, stride=5003),
-        scheduler=cfg.radio.scheduler,
-    )
+    sim = Simulator(seed=round_seed(cfg.seed, round_index, stride=5003))
     capture = TraceCollector()
     medium = build_medium(
         sim, channels.highway_channel(cfg.radio, sim, AP_NODE_ID), cfg.radio,
         trace=capture,
     )
-    # Both directions share one pool: oncoming cars cooperate with the
-    # main platoon, so their watchdogs live in the same deadline array.
-    pool = build_protocol_pool(sim, medium, cfg.radio)
 
     east = Polyline([Vec2(0.0, 0.0), Vec2(cfg.road_length_m, 0.0)])
     west = Polyline(
@@ -193,7 +186,6 @@ def build_bidirectional_round(
         cfg.radio.car_radio(),
         AP_NODE_ID,
         cfg.carq,
-        pool=pool,
     )
     oncoming_ids = cfg.oncoming_ids()
     oncoming_mobility = [
@@ -214,7 +206,6 @@ def build_bidirectional_round(
         cfg.radio.car_radio(),
         AP_NODE_ID,
         cfg.carq,
-        pool=pool,
     )
     ap.start()
     for car in main_cars.values():

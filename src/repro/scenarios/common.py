@@ -10,7 +10,6 @@ here, once.
 from __future__ import annotations
 
 from repro.core.config import CarqConfig
-from repro.core.engine import ProtocolPool
 from repro.mac.frames import NodeId
 from repro.mac.medium import Medium
 from repro.mobility.base import MobilityModel
@@ -29,38 +28,17 @@ def build_medium(sim: Simulator, channel, radio, *, trace=None) -> Medium:
     """The scenario's shared medium, honouring the radio's reception knobs.
 
     Every scenario builder wires its medium through here so the
-    ``reception_fast_path`` / ``reception_batch`` /
-    ``cross_broadcast_batch`` / ``cull_headroom_db`` fields of
+    ``reception_fast_path`` / ``cull_headroom_db`` fields of
     :class:`~repro.scenarios.urban.RadioEnvironment` reach the MAC layer
-    uniformly (and campaigns can A/B each path per arm).
+    uniformly (and campaigns can run the oracle arm per scenario).
     """
     return Medium(
         sim,
         channel,
         trace=trace,
         fast_path=radio.reception_fast_path,
-        batch=radio.reception_batch,
-        cross_broadcast_batch=getattr(radio, "cross_broadcast_batch", True),
         cull_headroom_db=radio.cull_headroom_db,
     )
-
-
-def build_protocol_pool(sim: Simulator, medium: Medium, radio) -> ProtocolPool | None:
-    """The scenario's pooled protocol engine, wired as the delivery sink.
-
-    Honours the ``batched_delivery`` knob of
-    :class:`~repro.scenarios.urban.RadioEnvironment`: when on (the
-    default), returns a :class:`~repro.core.engine.ProtocolPool`
-    installed as the medium's coalesced delivery sink — pass it to
-    :func:`spawn_platoon` so the C-ARQ vehicles join it.  When off,
-    returns ``None`` and the per-vehicle callback path runs unchanged
-    (the A/B reference arm).
-    """
-    if not getattr(radio, "batched_delivery", True):
-        return None
-    pool = ProtocolPool(sim)
-    medium.set_delivery_sink(pool.deliver_broadcast)
-    return pool
 
 
 def round_seed(base_seed: int, round_index: int, *, stride: int = 7919) -> int:
@@ -106,13 +84,11 @@ def spawn_platoon(
     radio: RadioConfig,
     ap_ids: NodeId | list[NodeId],
     carq: CarqConfig,
-    pool: ProtocolPool | None = None,
 ) -> dict[NodeId, object]:
     """Build (without starting) one vehicle per (id, mobility) pair.
 
     Each car gets its own named random stream ``car-<id>``, so protocol
-    draws never couple across cars or modes.  C-ARQ vehicles join
-    *pool* when one is given (see :func:`build_protocol_pool`).
+    draws never couple across cars or modes.
     """
     cars: dict[NodeId, object] = {}
     for car_id, mobility in zip(ids, mobilities):
@@ -127,7 +103,6 @@ def spawn_platoon(
             ap_ids,
             carq,
             name=f"car-{car_id}",
-            pool=pool,
         )
     return cars
 

@@ -24,7 +24,6 @@ from repro.scenarios import channels
 from repro.scenarios.common import (
     AP_NODE_ID,
     build_medium,
-    build_protocol_pool,
     car_ids as _car_ids,
     collect_matrices,
     make_flows,
@@ -139,10 +138,7 @@ class HighwayRoundContext:
 
 def build_highway_round(cfg: HighwayConfig, round_index: int) -> HighwayRoundContext:
     """Wire one highway pass running ``cfg.mode`` vehicles."""
-    sim = Simulator(
-        seed=round_seed(cfg.seed, round_index, stride=6007),
-        scheduler=cfg.radio.scheduler,
-    )
+    sim = Simulator(seed=round_seed(cfg.seed, round_index, stride=6007))
     scenario = highway_scenario(
         road_length=cfg.road_length_m, ap_offset=cfg.ap_offset_m
     )
@@ -150,7 +146,6 @@ def build_highway_round(cfg: HighwayConfig, round_index: int) -> HighwayRoundCon
     # Highway propagation: two-ray ground (flat open road), no buildings.
     channel = channels.highway_channel(cfg.radio, sim, AP_NODE_ID)
     medium = build_medium(sim, channel, cfg.radio, trace=capture)
-    pool = build_protocol_pool(sim, medium, cfg.radio)
     car_ids = _car_ids(cfg.n_cars)
     flows = make_flows(car_ids, cfg.packet_rate_hz, cfg.payload_bytes)
     ap = ap_class(cfg.mode)(
@@ -192,7 +187,6 @@ def build_highway_round(cfg: HighwayConfig, round_index: int) -> HighwayRoundCon
         cfg.radio.car_radio(),
         AP_NODE_ID,
         cfg.carq,
-        pool=pool,
     )
     ap.start()
     for car in cars.values():

@@ -62,20 +62,17 @@ def build_vehicle(
     ap_ids: NodeId | list[NodeId],
     carq: CarqConfig,
     name: str = "",
-    pool=None,
 ):
     """Construct one vehicle node running *mode*.
 
     All modes share the node substrate (interface, mobility, radio) and a
     ``state``-reachable :class:`~repro.core.state.FlowReceptionState`, so
     trace collection treats them uniformly (see :func:`reception_state`).
-    C-ARQ vehicles join *pool* when one is given (baselines keep the
-    per-vehicle callback path either way).
     """
     validate_mode(mode)
     common = (sim, medium, node_id, mobility, radio, rng)
     if mode == "carq":
-        return VehicleNode(*common, ap_ids, carq, name=name, pool=pool)
+        return VehicleNode(*common, ap_ids, carq, name=name)
     if mode == "nocoop":
         return PassiveVehicleNode(*common, ap_ids, name=name)
     if mode == "arq":

@@ -29,7 +29,6 @@ from repro.net.ap import AccessPoint
 from repro.scenarios import channels
 from repro.scenarios.common import (
     build_medium,
-    build_protocol_pool,
     car_ids as _car_ids,
     make_flows,
     round_seed,
@@ -134,15 +133,11 @@ def _aps_passed(cfg: MultiApConfig, car_index: int, time: float | None) -> float
 
 def build_multi_ap_round(cfg: MultiApConfig, round_index: int) -> MultiApRoundContext:
     """Wire one traversal of the infostation road."""
-    sim = Simulator(
-        seed=round_seed(cfg.seed, round_index, stride=4099),
-        scheduler=cfg.radio.scheduler,
-    )
+    sim = Simulator(seed=round_seed(cfg.seed, round_index, stride=4099))
     track = Polyline.straight(cfg.road_length_m)
     capture = TraceCollector()
     channel = channels.corridor_channel(cfg.radio, sim)
     medium = build_medium(sim, channel, cfg.radio, trace=capture)
-    pool = build_protocol_pool(sim, medium, cfg.radio)
     car_ids = _car_ids(cfg.n_cars)
     ap_ids = [NodeId(200 + i) for i in range(len(cfg.ap_positions()))]
     flows = make_flows(
@@ -178,7 +173,6 @@ def build_multi_ap_round(cfg: MultiApConfig, round_index: int) -> MultiApRoundCo
             ap_ids,
             cfg.carq,
             name=f"car-{car_id}",
-            pool=pool,
         )
         cars[car_id] = car
         car.start()

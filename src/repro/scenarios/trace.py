@@ -42,7 +42,6 @@ from repro.scenarios import channels
 from repro.scenarios.common import (
     AP_NODE_ID,
     build_medium,
-    build_protocol_pool,
     collect_matrices,
     make_flows,
     round_seed,
@@ -287,10 +286,7 @@ def build_trace_round(
 ) -> TraceRoundContext:
     """Wire one round driven by the configured recording."""
     traces = cfg.load_traces()
-    sim = Simulator(
-        seed=round_seed(cfg.seed, round_index, stride=3907),
-        scheduler=cfg.radio.scheduler,
-    )
+    sim = Simulator(seed=round_seed(cfg.seed, round_index, stride=3907))
     capture = TraceCollector()
     medium = build_medium(
         sim,
@@ -298,7 +294,6 @@ def build_trace_round(
         cfg.radio,
         trace=capture,
     )
-    pool = build_protocol_pool(sim, medium, cfg.radio)
     node_ids = cfg.vehicle_node_ids(traces)
     served = cfg.served_ids(node_ids)
     mobility_by_vehicle = traces.to_mobility()
@@ -324,7 +319,6 @@ def build_trace_round(
         cfg.radio.car_radio(),
         AP_NODE_ID,
         cfg.carq,
-        pool=pool,
     )
     ap.start()
     for car in cars.values():

@@ -29,7 +29,6 @@ from repro.scenarios import channels
 from repro.scenarios.common import (
     AP_NODE_ID,
     build_medium,
-    build_protocol_pool,
     car_ids as _car_ids,
     collect_matrices,
     frames_sent_by_node,
@@ -72,40 +71,16 @@ class RadioEnvironment:
     car_tx_power_dbm: float = 15.0
     rate_name: str = "dsss-1"
     building_loss_db: float = 31.0
-    #: Reception fast path (see :class:`repro.mac.medium.Medium`): when
-    #: true, the medium finds receivers through its spatial neighbor
-    #: index and culls links that cannot clear the sensitivity threshold
-    #: before sampling them.  Turning it off forces the exhaustive
-    #: reference path, which must be bit-identical (A/B validation).
+    #: Reception path (see :class:`repro.mac.medium.Medium`): when true
+    #: (default), the production path — the medium finds receivers
+    #: through its spatial neighbor index, culls links that cannot clear
+    #: the sensitivity threshold before sampling them, and evaluates big
+    #: candidate sets with the vectorized batch kernel.  Turning it off
+    #: selects the exhaustive scalar oracle, which must produce
+    #: bit-identical rows (A/B validation).
     reception_fast_path: bool = True
-    #: Vectorized batch channel kernel (see :mod:`repro.radio.batch`):
-    #: when true, big-enough candidate sets are evaluated as one NumPy
-    #: pass.  Turning it off forces the scalar reference loop; the A/B
-    #: tests pin both settings bit-identical, so this is purely a
-    #: throughput knob.
-    reception_batch: bool = True
-    #: Cross-broadcast coalescing (see :mod:`repro.radio.multibatch`):
-    #: when true (default), same-instant transmissions queue and the
-    #: medium evaluates all their candidate lanes as one concatenated
-    #: keyed pass at the instant's end, coalescing same-time frame-ends
-    #: too.  Turning it off restores the one-broadcast-at-a-time path;
-    #: the five-arm A/B harness pins both bit-identical, so this is
-    #: purely a throughput knob.
-    cross_broadcast_batch: bool = True
     #: Worst-case shadowing boost (dB) granted by the reachability bound.
     cull_headroom_db: float = 12.0
-    #: Event scheduler of the simulation kernel: ``"wheel"`` (default)
-    #: runs the slot-wheel calendar queue, ``"heap"`` the legacy binary
-    #: heap.  Pop order is identical (pinned by the equivalence suite),
-    #: so this is purely a throughput knob kept for A/B cross-checks.
-    scheduler: str = "wheel"
-    #: Coalesced protocol delivery (see
-    #: :class:`repro.core.engine.ProtocolPool`): when true (default),
-    #: each broadcast's successful receptions step the C-ARQ protocols
-    #: as one batched pass with struct-of-arrays coverage watchdogs.
-    #: Turning it off restores the per-vehicle callback + timer path —
-    #: same results (A/B pinned), more event traffic.
-    batched_delivery: bool = True
 
     def ap_radio(self) -> RadioConfig:
         """PHY parameters of the access point."""
@@ -255,13 +230,10 @@ def build_urban_round(
     apples-to-apples: same seeds → same trajectories and same channel
     realisation structure.
     """
-    sim = Simulator(
-        seed=round_seed(cfg.seed, round_index), scheduler=cfg.radio.scheduler
-    )
+    sim = Simulator(seed=round_seed(cfg.seed, round_index))
     tb = testbed if testbed is not None else urban_loop()
     capture = TraceCollector()
     medium = build_medium(sim, build_channel(cfg, sim, tb), cfg.radio, trace=capture)
-    pool = build_protocol_pool(sim, medium, cfg.radio)
 
     mobilities = build_platoon_mobility(cfg, sim, tb)
     car_ids = cfg.car_ids()
@@ -284,7 +256,6 @@ def build_urban_round(
         cfg.radio.car_radio(),
         AP_NODE_ID,
         cfg.carq,
-        pool=pool,
     )
     ap.start()
     for car in cars.values():

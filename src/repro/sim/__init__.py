@@ -5,10 +5,8 @@ reproduction because the evaluation environment ships no simulation
 framework.  It provides:
 
 * :class:`Simulator` — the event loop and clock;
-* :class:`Event` / :class:`EventQueue` / :class:`SlotWheelQueue` —
-  scheduled callbacks with deterministic FIFO tie-breaking, served by
-  either the legacy binary heap or the slot-wheel calendar queue (the
-  default; see :mod:`repro.sim.wheel`);
+* :class:`Event` / :class:`EventQueue` — scheduled callbacks with
+  deterministic FIFO tie-breaking, served from one binary heap;
 * :class:`Process` / :class:`Signal` — generator-based cooperative
   processes (``yield delay`` / ``yield signal``);
 * :class:`RandomStreams` — named, independently-seeded numpy generators so
@@ -17,8 +15,7 @@ framework.  It provides:
 """
 
 from repro.sim.event import Event, Priority
-from repro.sim.scheduler import EventQueue, make_event_queue
-from repro.sim.wheel import SlotWheelQueue
+from repro.sim.scheduler import EventQueue
 from repro.sim.process import Interrupt, Process, Signal
 from repro.sim.random import RandomStreams
 from repro.sim.monitor import Monitor
@@ -27,8 +24,6 @@ from repro.sim.simulator import Simulator, gc_paused
 __all__ = [
     "Event",
     "EventQueue",
-    "SlotWheelQueue",
-    "make_event_queue",
     "gc_paused",
     "Interrupt",
     "Monitor",

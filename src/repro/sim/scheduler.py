@@ -1,25 +1,16 @@
-"""The pending-event set: heap and slot-wheel schedulers, one contract.
+"""The pending-event set: one binary heap with lazy deletion.
 
-Two interchangeable implementations share the ``(time, priority, seq)``
-total order and the live-count/cancel invariants:
-
-* :class:`EventQueue` — the original binary heap with lazy deletion,
-  kept as the reference arm (``Simulator(scheduler="heap")``);
-* :class:`~repro.sim.wheel.SlotWheelQueue` — the calendar queue keyed
-  on the MAC slot grid, the default (see :mod:`repro.sim.wheel`).
-
-:func:`make_event_queue` is the single construction point, and
-:func:`should_compact` the shared auto-compaction policy: a workload
-that cancels heavily (the MAC layer does when frames are suppressed,
-the protocol's coverage watchdog used to) triggers a rebuild once dead
-entries outnumber live ones 2:1.
+:class:`EventQueue` orders events by ``(time, priority, seq)`` and
+:func:`should_compact` is its auto-compaction policy: a workload that
+cancels heavily (the MAC layer does when frames are suppressed, the
+protocol's coverage watchdog re-arms on every AP frame) triggers a
+rebuild once dead entries outnumber live ones 2:1.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from repro.errors import ConfigurationError
 from repro.sim.event import Event
 
 #: Auto-compact when dead entries exceed this multiple of live entries …
@@ -30,32 +21,8 @@ COMPACT_MIN_DEAD = 64
 
 
 def should_compact(live: int, dead: int) -> bool:
-    """The shared lazy-deletion pressure valve, pinned by tests."""
+    """The lazy-deletion pressure valve, pinned by tests."""
     return dead >= COMPACT_MIN_DEAD and dead > COMPACT_DEAD_FACTOR * live
-
-
-def make_event_queue(scheduler: str = "wheel", *, slot_s: float | None = None):
-    """Build the pending-event set the :class:`~repro.sim.Simulator` runs on.
-
-    Parameters
-    ----------
-    scheduler:
-        ``"wheel"`` (default) — the slot-wheel calendar queue;
-        ``"heap"`` — the legacy binary heap, kept as the bit-identical
-        reference arm for A/B pins and equivalence tests.
-    slot_s:
-        Bucket width for the wheel (default: the DSSS MAC slot).
-        Ignored by the heap.
-    """
-    if scheduler == "wheel":
-        from repro.sim.wheel import DEFAULT_SLOT_S, SlotWheelQueue
-
-        return SlotWheelQueue(slot_s if slot_s is not None else DEFAULT_SLOT_S)
-    if scheduler == "heap":
-        return EventQueue()
-    raise ConfigurationError(
-        f"unknown scheduler {scheduler!r}; choose 'wheel' or 'heap'"
-    )
 
 
 class EventQueue:
@@ -78,8 +45,6 @@ class EventQueue:
     """
 
     __slots__ = ("_heap", "_live",)
-
-    kind = "heap"
 
     def __init__(self) -> None:
         # Entries are (time, priority, seq, event) tuples: heap sifts
@@ -117,7 +82,11 @@ class EventQueue:
     def push_new(self, time, priority, seq, callback, args) -> Event:
         """Create an event and insert it — the fused scheduling hot path.
 
-        Same contract as :meth:`SlotWheelQueue.push_new`.
+        Equivalent to ``Event(...)`` followed by :meth:`push`, minus one
+        call layer and the foreign-owner guard a freshly built event
+        cannot trip.  :meth:`~repro.sim.Simulator.schedule` routes
+        through this; :meth:`push` remains for re-queueing externally
+        built events.
         """
         event = Event(time, priority, seq, callback, args)
         event.owner = self
@@ -157,10 +126,11 @@ class EventQueue:
     def serve(self, until: float | None = None):
         """Yield live events in order, marking each fired — the drain loop.
 
-        Same contract as :meth:`SlotWheelQueue.serve`: one generator
-        resumption per event, stopping (without consuming) at the first
-        event past *until* when given.  The heap is re-read after every
-        yield — a consumer callback may swap it out via an auto-compact.
+        The :meth:`~repro.sim.Simulator.run` hot path: one generator
+        resumption per event instead of a ``peek_time`` + ``pop`` method
+        pair, stopping (without consuming) at the first event past
+        *until* when given.  The heap is re-read after every yield — a
+        consumer callback may swap it out via an auto-compact.
         """
         heappop = heapq.heappop
         if until is None:

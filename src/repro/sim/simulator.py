@@ -14,7 +14,7 @@ from repro.obs.probes import kernel_probes
 from repro.sim.event import Event, Priority
 from repro.sim.process import Process
 from repro.sim.random import RandomStreams
-from repro.sim.scheduler import make_event_queue
+from repro.sim.scheduler import EventQueue
 
 # Depth of nested gc_paused() scopes, and whether the collector was
 # enabled when the outermost scope entered (so nesting restores exactly
@@ -73,15 +73,6 @@ class Simulator:
         (still recorded, so runs can be replayed).
     start_time:
         Initial clock value in seconds.
-    scheduler:
-        Pending-event structure: ``"wheel"`` (default) runs the slot-wheel
-        calendar queue (:mod:`repro.sim.wheel`); ``"heap"`` the legacy
-        binary heap.  Pop order is identical — pinned by the Hypothesis
-        equivalence suite — so this is purely a throughput knob, kept so
-        A/B arms can cross-check the wheel against the reference.
-    wheel_slot_s:
-        Bucket width for the wheel scheduler (default: the DSSS MAC
-        slot); ignored by the heap.
 
     Examples
     --------
@@ -97,7 +88,7 @@ class Simulator:
     __slots__ = (
         "_now", "_queue", "_push_new", "_seq", "_running", "_stopped",
         "streams", "_obs", "_tracer", "_instrumented", "_slot_time",
-        "_overflow_reported", "__dict__",
+        "__dict__",
     )
 
     def __init__(
@@ -105,11 +96,9 @@ class Simulator:
         *,
         seed: int | None = None,
         start_time: float = 0.0,
-        scheduler: str = "wheel",
-        wheel_slot_s: float | None = None,
     ) -> None:
         self._now = start_time
-        self._queue = make_event_queue(scheduler, slot_s=wheel_slot_s)
+        self._queue = EventQueue()
         # Bound once: scheduling is the hottest call site in the kernel.
         self._push_new = self._queue.push_new
         self._seq = 0
@@ -124,9 +113,6 @@ class Simulator:
         self._tracer = obs.tracer()
         self._instrumented = self._obs is not None or self._tracer is not None
         self._slot_time: float | None = None
-        # Overflow pushes already exported to the registry (the wheel
-        # counts unconditionally; the delta is copied out per fire).
-        self._overflow_reported = 0
 
     # -- clock -----------------------------------------------------------------
 
@@ -188,22 +174,6 @@ class Simulator:
             self._obs.pushed.value += 1
         return event
 
-    def at_instant_end(
-        self, callback: Callable[..., Any], *args: Any
-    ) -> Event:
-        """Run *callback* after every already-queued event of this instant.
-
-        A delay-0 event at :data:`Priority.LATE` — the drain phase of the
-        current instant (wheel slot or heap timestamp): every URGENT and
-        NORMAL event at the same time fires first, and no NORMAL event at
-        this time can be observed after it (callbacks only schedule at
-        equal-or-later times with equal-or-lower priority).  The medium's
-        cross-broadcast coalescer uses this as its slot-boundary drain
-        hook; it is scheduler-agnostic (wheel and heap order identically
-        on the ``(time, priority, seq)`` key).
-        """
-        return self.schedule(0.0, callback, *args, priority=Priority.LATE)
-
     def cancel(self, event: Event) -> None:
         """Cancel a pending event.  Idempotent.
 
@@ -257,17 +227,9 @@ class Simulator:
             return
         start = perf_counter()
         event.callback(*event.args)
-        queue = self._queue
         self._obs.record_fire(
-            event.callback, perf_counter() - start, len(queue)
+            event.callback, perf_counter() - start, len(self._queue)
         )
-        if queue.kind == "wheel":
-            self._obs.wheel_slots.set(queue.occupied_slots())
-            self._obs.wheel_overflow.set(queue.overflow_len())
-            delta = queue.overflow_pushes - self._overflow_reported
-            if delta:
-                self._obs.overflow_pushed.value += delta
-                self._overflow_reported = queue.overflow_pushes
 
     def run(self, until: float | None = None) -> None:
         """Run events until the queue drains or the clock passes *until*.

@@ -135,6 +135,24 @@ def _run_cli_campaign(store_path, spec_path, *, workers=2):
     )
 
 
+def _wait_for_first_row(proc, store_path, *, timeout_s=120.0):
+    """Block until the CLI run has checkpointed its first row.
+
+    A row on disk proves the graceful-signal handler is installed and the
+    run is under way, without assuming how fast a task runs: a fixed sleep
+    either fires before the handler exists or after the last task.
+    """
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        assert proc.poll() is None, "the campaign exited before any row"
+        if store_path.exists():
+            with open(store_path, encoding="utf-8") as handle:
+                if any(line.strip() for line in handle):
+                    return
+        time.sleep(0.01)
+    raise AssertionError("no row checkpointed within the deadline")
+
+
 class TestParentInterrupt:
     @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
     def test_interrupt_checkpoints_and_resume_converges(
@@ -150,7 +168,7 @@ class TestParentInterrupt:
         store_path = tmp_path / "int.jsonl"
 
         proc = _run_cli_campaign(store_path, spec_path)
-        time.sleep(2.0)  # a few tasks in, several still pending
+        _wait_for_first_row(proc, store_path)  # several still pending
         proc.send_signal(signum)
         _out, err = proc.communicate(timeout=60)
         assert proc.returncode == 130, err

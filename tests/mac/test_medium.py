@@ -18,14 +18,14 @@ from repro.trace.capture import TraceCollector
 RATE = rate_by_name("dsss-1")
 
 
-def make_net(positions, *, trace=None, seed=0):
+def make_net(positions, *, trace=None, seed=0, fast_path=True):
     """A sim + medium + one interface per given position."""
     sim = Simulator(seed=seed)
     channel = Channel(
         pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
         rng=sim.streams.get("channel"),
     )
-    medium = Medium(sim, channel, trace=trace)
+    medium = Medium(sim, channel, trace=trace, fast_path=fast_path)
     ifaces = []
     for index, position in enumerate(positions):
         ifaces.append(
@@ -313,9 +313,9 @@ class TestReceptionFastPath:
 
 
 class TestBatchKernel:
-    """The vectorized batch reception path vs the scalar reference."""
+    """The production path (batch kernel on) vs the scalar oracle."""
 
-    def _storm_records(self, *, fast_path, batch, n_nodes=30, broadcasts=120):
+    def _storm_records(self, *, fast_path, n_nodes=30, broadcasts=120):
         from repro.mac.frames import NodeId
         from repro.radio.fading import RicianFading
         from repro.radio.shadowing import (
@@ -346,7 +346,7 @@ class TestBatchKernel:
             rng=sim.streams.get("channel"),
         )
         trace = TraceCollector()
-        medium = Medium(sim, channel, trace=trace, fast_path=fast_path, batch=batch)
+        medium = Medium(sim, channel, trace=trace, fast_path=fast_path)
         rate = rate_by_name("dsss-11")
         ifaces = []
         for i in range(n_nodes):
@@ -372,20 +372,10 @@ class TestBatchKernel:
             for r in trace.rx_records
         ]
 
-    def test_batch_bit_identical_to_scalar_fast_and_exhaustive(self):
-        batch = self._storm_records(fast_path=True, batch=True)
-        scalar_fast = self._storm_records(fast_path=True, batch=False)
-        exhaustive = self._storm_records(fast_path=False, batch=False)
-        batch_exhaustive = self._storm_records(fast_path=False, batch=True)
+    def test_batch_bit_identical_to_oracle(self):
+        batch = self._storm_records(fast_path=True)
         assert batch  # the topology must actually produce receptions
-        assert batch == scalar_fast == exhaustive == batch_exhaustive
-
-    def test_batch_knob_exposed(self):
-        _, medium, _ = make_net([Vec2(0, 0), Vec2(10, 0)])
-        assert medium.batch is True
-        sim = Simulator()
-        channel = Channel(rng=sim.streams.get("channel"))
-        assert Medium(sim, channel, batch=False).batch is False
+        assert batch == self._storm_records(fast_path=False)
 
     def test_small_candidate_sets_use_scalar_loop(self):
         # Below batch_min_candidates the scalar loop runs — delivery
@@ -404,15 +394,15 @@ class TestBatchKernel:
         so a bug that drops the *delivery dispatch* while still writing
         trace rows is invisible to the record-comparison pins above.
         Pin ``frames_received`` — the interface-side evidence — equal
-        between the batch and scalar arms on a dense topology.
+        between the production path and the oracle on a dense topology.
         """
 
-        def received_counts(*, batch):
+        def received_counts(*, fast_path):
             trace = TraceCollector()
             sim, medium, ifaces = make_net(
-                [Vec2(12.0 * i, 0.0) for i in range(12)], trace=trace
+                [Vec2(12.0 * i, 0.0) for i in range(12)], trace=trace,
+                fast_path=fast_path,
             )
-            medium._batch = batch
             rate = rate_by_name("dsss-11")
             for k in range(10):
                 tx = ifaces[k % 3]
@@ -424,8 +414,8 @@ class TestBatchKernel:
             )
             return [i.frames_received for i in ifaces], delivered_rows
 
-        batch_counts, batch_rows = received_counts(batch=True)
-        scalar_counts, scalar_rows = received_counts(batch=False)
+        batch_counts, batch_rows = received_counts(fast_path=True)
+        scalar_counts, scalar_rows = received_counts(fast_path=False)
         assert batch_rows == scalar_rows > 0
         assert batch_counts == scalar_counts
         # The interface counters must agree with the trace's verdicts.
@@ -480,66 +470,20 @@ class TestBatchKernel:
         assert grouped
         assert grouped == scalar
 
-    def test_cross_broadcast_storm_matches_one_at_a_time(self):
-        """The coalescer A/B on a dense storm with clustered instants."""
-        # Bursts of same-instant transmissions (three per slot) exercise
-        # multi-broadcast drains; the CSMA traffic on top exercises the
-        # busy()-triggered early flush.
-        def records(cross):
-            sim = Simulator(seed=42)
-            channel = Channel(
-                pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
-                rng=sim.streams.get("channel"),
-            )
-            trace = TraceCollector()
-            medium = Medium(
-                sim, channel, trace=trace, cross_broadcast_batch=cross
-            )
-            ifaces = []
-            for i in range(18):
-                pos = Vec2(45.0 * i, (i % 2) * 9.0)
-                ifaces.append(
-                    NetworkInterface(
-                        sim, medium, NodeId(i + 1),
-                        (lambda p: (lambda: p))(pos), RadioConfig(),
-                        sim.streams.get(f"mac-{i}"), name=f"if{i + 1}",
-                    )
-                )
-            rate = rate_by_name("dsss-11")
-            for k in range(60):
-                tx = ifaces[k % 18]
-                frame = data_frame(tx.node_id, ifaces[(k + 5) % 18].node_id, seq=k)
-                sim.schedule((k // 3) * 2.1e-3, medium.transmit, tx, frame, rate)
-            ifaces[2].send(data_frame(ifaces[2].node_id, ifaces[3].node_id, seq=900))
-            ifaces[7].send(data_frame(ifaces[7].node_id, ifaces[8].node_id, seq=901))
-            sim.run()
-            rows = [
-                (r.time, int(r.node), r.frame.seq, r.cause, r.snr_db, r.rx_power_dbm)
-                for r in trace.rx_records
-            ]
-            return rows, [i.frames_received for i in ifaces]
-
-        coalesced_rows, coalesced_counts = records(True)
-        legacy_rows, legacy_counts = records(False)
-        assert coalesced_rows
-        assert coalesced_rows == legacy_rows
-        assert coalesced_counts == legacy_counts
-
-    def test_coalesced_frame_ends_preserve_delivery_order(self):
-        """Same-end-time broadcasts: one coalesced frame-end event must
-        deliver in exactly the scalar order (groups in registration
-        order, receivers in arrival order within), with per-interface
-        ``frames_received`` intact — the PR 7 ``_finish_batch``
-        accumulator bug class, now one level up.
+    def test_same_end_broadcasts_deliver_in_tx_order(self):
+        """Broadcasts that end at the same instant deliver in tx order
+        (receivers in arrival order within each), with per-interface
+        ``frames_received`` intact — on the production path and the
+        oracle alike (the PR 7 ``_finish_batch`` accumulator bug class).
         """
 
-        def delivery_log(cross):
+        def delivery_log(fast_path):
             sim = Simulator(seed=5)
             channel = Channel(
                 pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
                 rng=sim.streams.get("channel"),
             )
-            medium = Medium(sim, channel, cross_broadcast_batch=cross)
+            medium = Medium(sim, channel, fast_path=fast_path)
             ifaces = []
             for i in range(9):
                 pos = Vec2(30.0 * i, 0.0)
@@ -558,9 +502,8 @@ class TestBatchKernel:
                     ))(iface)
                 )
             # Three same-instant transmissions with equal airtimes: all
-            # three frame-ends land on one coalesced URGENT event (the
-            # multi-group vectorized path).  A fourth, larger frame ends
-            # later and must not be swept into the group.
+            # three frame-ends land on the same instant.  A fourth,
+            # larger frame ends later.
             for k, tx in enumerate(ifaces[:3]):
                 frame = data_frame(tx.node_id, ifaces[4].node_id, seq=k, size=400)
                 sim.schedule(0.0, medium.transmit, tx, frame, RATE)
@@ -569,78 +512,27 @@ class TestBatchKernel:
             sim.run()
             return log, [i.frames_received for i in ifaces]
 
-        coalesced_log, coalesced_counts = delivery_log(True)
-        legacy_log, legacy_counts = delivery_log(False)
-        assert coalesced_log  # the topology must actually deliver
-        assert coalesced_log == legacy_log
-        assert coalesced_counts == legacy_counts
-
-    def test_mixed_rate_frame_ends_bucket_without_reordering(self):
-        """Coalesced frame-ends across *different* FER curves: the
-        per-(rate, size) bucketing must not disturb the sequential
-        Bernoulli draw order."""
-
-        def rows(cross):
-            trace = TraceCollector()
-            sim = Simulator(seed=13)
-            channel = Channel(
-                pathloss=LogDistancePathLoss(exponent=3.3, reference_loss_db=40.0),
-                rng=sim.streams.get("channel"),
-            )
-            medium = Medium(
-                sim, channel, trace=trace, cross_broadcast_batch=cross
-            )
-            ifaces = []
-            for i in range(8):
-                pos = Vec2(140.0 * i, 0.0)
-                ifaces.append(
-                    NetworkInterface(
-                        sim, medium, NodeId(i + 1),
-                        (lambda p: (lambda: p))(pos), RadioConfig(),
-                        sim.streams.get(f"mac-{i}"), name=f"if{i + 1}",
-                    )
-                )
-            # dsss-1 at 400 B and dsss-11 at 4400 B share one airtime
-            # tail closely enough that equal-end groups appear across
-            # rates once the start instants line up (4400·8/11 = 3200
-            # symbols vs 400·8 = 3200 symbols at 1 Mb/s).
-            fast_rate = rate_by_name("dsss-11")
-            for k in range(12):
-                tx = ifaces[k % 4]
-                size = 400 if k % 2 else 4400
-                rate = RATE if k % 2 else fast_rate
-                frame = data_frame(
-                    tx.node_id, ifaces[(k + 1) % 8].node_id, seq=k, size=size
-                )
-                sim.schedule((k // 4) * 3e-3, medium.transmit, tx, frame, rate)
-            sim.run()
-            return [
-                (r.time, int(r.node), r.frame.seq, r.cause, r.snr_db)
-                for r in trace.rx_records
-            ]
-
-        coalesced = rows(True)
-        legacy = rows(False)
-        assert coalesced
-        assert coalesced == legacy
+        log, counts = delivery_log(True)
+        assert log  # the topology must actually deliver
+        assert (log, counts) == delivery_log(False)
+        same_end = [seq for _, _, seq in log if seq != 9]
+        assert same_end == sorted(same_end)
+        assert sum(counts) == len(log)
 
     def test_transmission_killed_mid_slot_matches_scalar(self):
         """A receiver that starts transmitting in the same instant as an
-        incoming broadcast (direct transmit, CSMA bypassed) must lose
-        the arrival to half-duplex exactly as the one-at-a-time arm: the
-        new transmitter's flush admits the pending arrival first, then
-        the kill loop cancels it mid-flight."""
+        incoming broadcast (direct transmit, CSMA bypassed) loses the
+        arrival to half-duplex: its own transmit's kill loop cancels it
+        mid-flight, on the production path and the oracle alike."""
 
-        def causes(cross):
+        def causes(fast_path):
             trace = TraceCollector()
             sim = Simulator(seed=2)
             channel = Channel(
                 pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
                 rng=sim.streams.get("channel"),
             )
-            medium = Medium(
-                sim, channel, trace=trace, cross_broadcast_batch=cross
-            )
+            medium = Medium(sim, channel, trace=trace, fast_path=fast_path)
             ifaces = []
             for i in range(3):
                 pos = Vec2(25.0 * i, 0.0)
@@ -664,56 +556,13 @@ class TestBatchKernel:
                 for r in trace.rx_records
             ]
 
-        coalesced = causes(True)
-        legacy = causes(False)
-        assert coalesced == legacy
+        production = causes(True)
+        assert production == causes(False)
         assert any(
             cause is LossCause.HALF_DUPLEX
-            for _, node, seq, cause in coalesced
+            for _, node, seq, cause in production
             if node == 2 and seq == 1
         )
-
-    def test_busy_flush_only_drains_candidate_lanes(self):
-        """Carrier sense by a non-candidate keeps the queue coalescing;
-        sensing by a candidate flushes and reads the admitted energy.
-
-        Needs enough interfaces for the spatial grid to actually cull
-        (below ``neighbor_index_min_nodes`` every interface is a
-        candidate and any sense would flush).
-        """
-        positions = [Vec2(15.0 * i, 0.0) for i in range(16)]
-        positions.append(Vec2(70_000, 0))
-        sim, medium, ifaces = make_net(positions)
-        a, b, far = ifaces[0], ifaces[1], ifaces[-1]
-        states = []
-
-        def probe():
-            sim.schedule(
-                0.0, medium.transmit, a, data_frame(a.node_id, b.node_id, 1), RATE
-            )
-            # Same instant, after the queue formed: the far node is no
-            # candidate of a's broadcast, so its carrier sense must not
-            # force the drain...
-            sim.schedule(0.0, lambda: states.append(
-                (medium.busy(far), len(medium._pending))
-            ))
-            # ...while the in-range receiver's sense must.
-            sim.schedule(0.0, lambda: states.append(
-                (medium.busy(b), len(medium._pending))
-            ))
-
-        sim.schedule(0.0, probe)
-        sim.run()
-        assert states[0] == (False, 1)  # still queued after far's sense
-        assert states[1] == (True, 0)   # drained by b's sense
-
-    def test_cross_broadcast_knob_exposed(self):
-        _, medium, _ = make_net([Vec2(0, 0), Vec2(10, 0)])
-        assert medium.cross_broadcast_batch is True
-        sim = Simulator()
-        channel = Channel(rng=sim.streams.get("channel"))
-        off = Medium(sim, channel, cross_broadcast_batch=False)
-        assert off.cross_broadcast_batch is False
 
     def test_scripted_channel_subclass_survives_batch_path(self):
         # A Channel subclass that scripts sample() must keep its
@@ -726,14 +575,14 @@ class TestBatchKernel:
                        rx_gain_db=0.0, time=0.0, *, tx_seq=None, budget=None):
                 return LinkSample(-60.0, -60.0, 10.0)
 
-        def records(batch):
+        def records(fast_path):
             sim = Simulator(seed=9)
             channel = ScriptedChannel(
                 pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
                 rng=sim.streams.get("channel"),
             )
             trace = TraceCollector()
-            medium = Medium(sim, channel, trace=trace, batch=batch)
+            medium = Medium(sim, channel, trace=trace, fast_path=fast_path)
             ifaces = []
             for i in range(16):
                 pos = Vec2(40.0 * i, 0.0)

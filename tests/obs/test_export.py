@@ -139,25 +139,6 @@ class TestRenderStatsReport:
         assert "packet buffer" in report
         assert "75.0% hits" in report
 
-    def test_wheel_line_renders_peaks_from_gauge_snapshots(self):
-        # Regression: the renderer must read the *gauge* snapshot shape
-        # (last/min/max/mean/samples) — indexing a "value" key crashed
-        # the first instrumented wheel round.
-        reg = MetricsRegistry()
-        reg.counter("sim.events_fired").inc(10)
-        for occupied, deferred in ((3, 80), (7, 2)):
-            reg.gauge("sim.wheel_slots").set(occupied)
-            reg.gauge("sim.wheel_overflow").set(deferred)
-        reg.counter("sim.wheel_overflow_pushes").inc(993)
-        report = render_stats_report(reg.snapshot())
-        assert "7 slots occupied peak" in report
-        assert "80 beyond horizon peak" in report
-        assert "993 overflow pushes" in report
-
-    def test_no_wheel_line_on_heap_runs(self):
-        report = render_stats_report(self._snapshot())
-        assert "wheel" not in report
-
     def test_unknown_metrics_land_in_other(self):
         snap = {"custom.thing": {"type": "counter", "value": 3}}
         report = render_stats_report(snap)

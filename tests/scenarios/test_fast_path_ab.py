@@ -1,18 +1,17 @@
-"""A/B pin: reception fast path and batch kernel change only wall clock.
+"""A/B pin: the production reception path changes only wall clock.
 
-For every registered scenario the same small campaign is run three ways —
-with the default fast path plus vectorized batch kernel, with the batch
-kernel disabled (PR 3's scalar fast path), and forced onto the fully
-scalar exhaustive reference path, which bounds *and samples* every
-attached interface.  Because all stochastic channel draws are keyed per
-``(link, transmission)`` and the batch kernel reproduces the scalar
-float64 semantics exactly, the stored summary rows have to match bit for
-bit across all three.
+For every registered scenario the same small campaign runs twice — on
+the production path (culling fast path plus the size-gated vectorized
+batch kernel) and on the exhaustive scalar oracle, which bounds *and
+samples* every attached interface through the per-receiver reference
+loop.  Because all stochastic channel draws are keyed per ``(link,
+transmission)`` and the batch kernel reproduces the scalar float64
+semantics exactly, the stored summary rows have to match bit for bit.
 
 A scenario added to the registry without an entry here fails the
 coverage test below, so the pin cannot silently rot.
 
-The same arms are additionally re-run with the observability layer fully
+Both arms are additionally re-run with the observability layer fully
 enabled (metrics registry + span tracer) and compared against the
 uninstrumented rows: instrumentation is contractually free of RNG draws
 and simulation feedback, so switching it on must not move a single bit.
@@ -63,23 +62,11 @@ SMALL_CONFIGS = {
 }
 
 
-def run_rows(
-    scenario: str, config, *, fast_path: bool, batch: bool,
-    scheduler: str = "wheel", batched_delivery: bool = True,
-    cross_broadcast_batch: bool = True, instrumented: bool = False,
-):
-    radio = dataclasses.replace(
-        config.radio,
-        reception_fast_path=fast_path,
-        reception_batch=batch,
-        scheduler=scheduler,
-        batched_delivery=batched_delivery,
-        cross_broadcast_batch=cross_broadcast_batch,
-    )
+def run_rows(scenario: str, config, *, fast_path: bool, instrumented: bool = False):
+    radio = dataclasses.replace(config.radio, reception_fast_path=fast_path)
     config = dataclasses.replace(config, radio=radio)
     spec = CampaignSpec(
-        name=f"ab-{scenario}-{'fast' if fast_path else 'exhaustive'}"
-        f"-{'batch' if batch else 'scalar'}",
+        name=f"ab-{scenario}-{'production' if fast_path else 'oracle'}",
         scenario=scenario,
         seed=config.seed,
         rounds=1,
@@ -99,15 +86,15 @@ def run_rows(
 
 
 #: Uninstrumented arm results shared between the two pins below, keyed by
-#: ``(scenario, fast_path, batch)`` — each plain arm runs exactly once.
+#: ``(scenario, fast_path)`` — each plain arm runs exactly once.
 _PLAIN_ROWS: dict = {}
 
 
-def plain_rows(scenario: str, *, fast_path: bool, batch: bool):
-    key = (scenario, fast_path, batch)
+def plain_rows(scenario: str, *, fast_path: bool):
+    key = (scenario, fast_path)
     if key not in _PLAIN_ROWS:
         _PLAIN_ROWS[key] = run_rows(
-            scenario, SMALL_CONFIGS[scenario], fast_path=fast_path, batch=batch
+            scenario, SMALL_CONFIGS[scenario], fast_path=fast_path
         )
     return _PLAIN_ROWS[key]
 
@@ -118,64 +105,13 @@ def test_every_registered_scenario_is_covered():
 
 @pytest.mark.parametrize("scenario", sorted(SMALL_CONFIGS))
 def test_fast_path_and_batch_rows_bit_identical(scenario):
-    batch_fast = plain_rows(scenario, fast_path=True, batch=True)
-    scalar_fast = plain_rows(scenario, fast_path=True, batch=False)
-    exhaustive = plain_rows(scenario, fast_path=False, batch=False)
-    assert batch_fast == scalar_fast == exhaustive
+    production = plain_rows(scenario, fast_path=True)
+    assert production == plain_rows(scenario, fast_path=False)
 
 
 @pytest.mark.parametrize("scenario", sorted(SMALL_CONFIGS))
-def test_scheduler_and_delivery_rows_bit_identical(scenario):
-    """The event-kernel A/B pin: wheel + pooled delivery vs the legacy arms.
-
-    The slot-wheel scheduler preserves the heap's ``(time, priority,
-    seq)`` pop order exactly, and the coalesced delivery sink defers
-    per-receiver dispatch within one already-atomic frame-end event —
-    channel draws are keyed per ``(link, transmission)`` and protocol
-    reactions only schedule future events, so neither can move a bit.
-    Three legacy arms (heap scheduler, per-vehicle callback delivery,
-    and both at once) must reproduce the default rows exactly.
-    """
-    config = SMALL_CONFIGS[scenario]
-    default = plain_rows(scenario, fast_path=True, batch=True)
-    heap = run_rows(config=config, scenario=scenario, fast_path=True,
-                    batch=True, scheduler="heap")
-    unbatched = run_rows(config=config, scenario=scenario, fast_path=True,
-                         batch=True, batched_delivery=False)
-    legacy = run_rows(config=config, scenario=scenario, fast_path=True,
-                      batch=True, scheduler="heap", batched_delivery=False)
-    assert default == heap == unbatched == legacy
-
-
-@pytest.mark.parametrize("scenario", sorted(SMALL_CONFIGS))
-def test_cross_broadcast_batch_rows_bit_identical(scenario):
-    """The cross-broadcast coalescer A/B pin (reception ladder rung 5).
-
-    With ``radio.cross_broadcast_batch`` on (the default), same-instant
-    broadcasts defer their candidate evaluation to one instant-end drain
-    and share a single concatenated sampling pass plus coalesced
-    frame-end delivery.  Every order-sensitive fact is captured at the
-    original transmit event (tx_seq, trace row, kill loop, candidate
-    snapshot), every mid-instant observer forces an early drain, and all
-    channel draws are keyed per ``(link, transmission)`` — so the
-    one-at-a-time arm must reproduce the coalesced rows bit for bit.
-    """
-    config = SMALL_CONFIGS[scenario]
-    default = plain_rows(scenario, fast_path=True, batch=True)
-    one_at_a_time = run_rows(
-        config=config, scenario=scenario, fast_path=True, batch=True,
-        cross_broadcast_batch=False,
-    )
-    assert default == one_at_a_time
-
-
-@pytest.mark.parametrize("scenario", sorted(SMALL_CONFIGS))
-@pytest.mark.parametrize(
-    "fast_path,batch",
-    [(True, True), (True, False), (False, False)],
-    ids=["batch", "fast", "exhaustive"],
-)
-def test_rows_unchanged_with_instrumentation_enabled(scenario, fast_path, batch):
+@pytest.mark.parametrize("fast_path", [True, False], ids=["batch", "exhaustive"])
+def test_rows_unchanged_with_instrumentation_enabled(scenario, fast_path):
     """The observability non-perturbation contract, pinned per arm.
 
     Metrics registry on, span tracer installed, every probe live — and
@@ -185,8 +121,6 @@ def test_rows_unchanged_with_instrumentation_enabled(scenario, fast_path, batch)
     """
     config = SMALL_CONFIGS[scenario]
     instrumented = run_rows(
-        scenario, config, fast_path=fast_path, batch=batch, instrumented=True
+        scenario, config, fast_path=fast_path, instrumented=True
     )
-    assert instrumented == plain_rows(
-        scenario, fast_path=fast_path, batch=batch
-    )
+    assert instrumented == plain_rows(scenario, fast_path=fast_path)

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.event import Event, Priority
-from repro.sim.scheduler import EventQueue
+from repro.sim.scheduler import (
+    COMPACT_DEAD_FACTOR,
+    COMPACT_MIN_DEAD,
+    EventQueue,
+    should_compact,
+)
 
 
 def make_event(time, priority=Priority.NORMAL, seq=0):
@@ -220,3 +225,46 @@ class TestHeapProperty:
         while q:
             keys.append(q.pop().sort_key())
         assert keys == sorted(keys)
+
+
+class TestAutoCompactPolicy:
+    """Pin the lazy-deletion pressure valve, knob by knob."""
+
+    def test_threshold_constants(self):
+        assert COMPACT_MIN_DEAD == 64
+        assert COMPACT_DEAD_FACTOR == 2
+
+    def test_should_compact_truth_table(self):
+        # Below the floor: never, regardless of ratio.
+        assert not should_compact(0, COMPACT_MIN_DEAD - 1)
+        # At the floor: only when dead strictly exceed 2× live.
+        assert should_compact(31, 64)      # 64 > 62
+        assert not should_compact(32, 64)  # 64 == 2·32, not strict
+        assert should_compact(0, 64)
+        assert not should_compact(1000, 64)
+
+    def test_cancel_pressure_triggers_physical_compaction(self):
+        """Cancelling past the threshold sheds the corpses automatically."""
+        q = EventQueue()
+        events = [make_event(float(i + 1), seq=i) for i in range(100)]
+        for event in events:
+            q.push(event)
+        # Out of 100 entries, the threshold (dead ≥ 64 and dead > 2·live)
+        # first holds at the 67th cancel (67 > 2·33): compaction fires
+        # there, leaving only the two corpses cancelled afterwards.
+        for event in events[:69]:
+            q.cancel(event)
+        assert len(q) == 31
+        assert q.physical_size() == 33
+        assert q.live_heap_count() == 31
+
+    def test_below_floor_keeps_corpses(self):
+        """A handful of dead entries is cheaper to carry than to sweep."""
+        q = EventQueue()
+        events = [make_event(float(i + 1), seq=i) for i in range(20)]
+        for event in events:
+            q.push(event)
+        for event in events[:10]:
+            q.cancel(event)
+        assert len(q) == 10
+        assert q.physical_size() == 20  # dead=10 < COMPACT_MIN_DEAD

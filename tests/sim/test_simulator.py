@@ -1,9 +1,11 @@
 """Simulator clock and event-loop semantics."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Priority, Simulator
+from repro.sim import Priority, Simulator, gc_paused
 
 
 class TestScheduling:
@@ -65,6 +67,22 @@ class TestScheduling:
         sim.schedule(1.0, outer)
         sim.run()
         assert log == [("outer", 1.0), ("inner", 2.0)]
+
+    def test_same_instant_follow_up_keeps_seq_order(self):
+        """A follow-up scheduled for "now" runs after already-queued peers."""
+        sim = Simulator()
+        log = []
+
+        def chain(tag):
+            log.append(tag)
+            if tag == "a":
+                sim.schedule(0.0, chain, "b")
+
+        sim.schedule(1.0, chain, "a")
+        sim.schedule(1.0, log.append, "c")
+        sim.run()
+        # seq order: a(0), c(1), then b(2) appended at the same instant.
+        assert log == ["a", "c", "b"]
 
 
 class TestRunUntil:
@@ -189,3 +207,46 @@ class TestStreams:
         a = Simulator(seed=42).streams.get("x").random(5).tolist()
         b = Simulator(seed=42).streams.get("x").random(5).tolist()
         assert a == b
+
+
+class TestGcPaused:
+    """The kernel's GC quiescing scope: nesting, restore, error paths."""
+
+    def test_pauses_and_restores(self):
+        assert gc.isenabled()
+        with gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_nested_scopes_restore_once(self):
+        with gc_paused():
+            with gc_paused():
+                assert not gc.isenabled()
+            # Inner exit must NOT re-enable: the outer scope still holds.
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_restores_on_error(self):
+        with pytest.raises(RuntimeError):
+            with gc_paused():
+                raise RuntimeError("boom")
+        assert gc.isenabled()
+
+    def test_respects_externally_disabled_gc(self):
+        gc.disable()
+        try:
+            with gc_paused():
+                assert not gc.isenabled()
+            # Caller had it off: exiting must not turn it on behind them.
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_run_nests_inside_explicit_scope(self):
+        """run() inlines the same refcounted enter/exit."""
+        with gc_paused():
+            sim = Simulator(seed=1)
+            sim.schedule(1.0, lambda: None)
+            sim.run()
+            assert not gc.isenabled()  # outer scope still holds
+        assert gc.isenabled()
