@@ -7,6 +7,17 @@ radios, and reports outcomes to an optional trace collector.
 
 Reception pipeline per (frame, receiver):
 
+0. skip the receiver lookup altogether while the transmitter is before
+   its reach horizon: a simulated time before which no other attached
+   radio can be inside the transmitter's reach radius R (the neighbor
+   index's radius for its power, plus a 1 m guard).  One scan over the
+   other radios finds the nearest distance d; if d > R, no radio can
+   close the gap before ``now + (d - R) / (2 · max_speed_ms)``, since
+   both ends move at most ``max_speed_ms``.  Every link such a
+   broadcast would have looked at fails step 1's bound, and a culled
+   link draws no randomness, so skipping them is exact.  The broadcast
+   still takes its ``tx_seq``, emits its trace ``on_tx`` row and marks
+   the transmitter's own arrivals half-duplex;
 1. bound the receiver's best-case mean power deterministically (path loss
    at current positions plus the configured shadowing headroom) and cull
    the link if it can never clear ``noise_floor - sensitivity_margin`` —
@@ -25,16 +36,18 @@ Reception pipeline per (frame, receiver):
 The candidate receivers themselves come from a lazily refreshed spatial
 grid (cell size = the maximum reachable radius implied by the path-loss
 model), so a broadcast costs O(reachable receivers), not O(attached
-interfaces).  Candidate sets of at least ``batch_min_candidates``
-receivers run steps 1–3, and their frame end, as one NumPy pass through
-the vectorized batch channel kernel (:mod:`repro.radio.batch`); smaller
-sets take the scalar per-receiver loop.
+interfaces).  A transmitter in reach of some radio rescans its horizon
+once per ``neighbor_refresh_s``, not per broadcast.  Candidate sets of
+at least ``batch_min_candidates`` receivers run steps 1–3, and their
+frame end, as one NumPy pass through the vectorized batch channel kernel
+(:mod:`repro.radio.batch`); smaller sets take the scalar per-receiver
+loop.
 
 ``fast_path=False`` selects the exhaustive scalar oracle instead: every
 attached interface is bounded *and sampled* by the scalar loop, and every
-frame end is classified per arrival.  It exists for tests — the
-production path must reproduce it bit for bit (the A/B pin in
-``tests/scenarios/test_fast_path_ab.py``).
+frame end is classified per arrival; it never consults the reach
+horizon.  It exists for tests — the production path must reproduce it
+bit for bit (the A/B pin in ``tests/scenarios/test_fast_path_ab.py``).
 """
 
 from __future__ import annotations
@@ -189,8 +202,9 @@ class Medium:
         Arrivals whose mean power is more than this below the receiver
         noise floor are discarded without bookkeeping.
     fast_path:
-        When true (default), the production path: receivers are found
-        through the spatial neighbor index, hopeless links are culled
+        When true (default), the production path: broadcasts before
+        their transmitter's reach horizon skip reception, receivers are
+        found through the spatial neighbor index, hopeless links are culled
         before sampling, and candidate sets of at least
         ``batch_min_candidates`` are evaluated by the vectorized batch
         kernel (:mod:`repro.radio.batch`) — one NumPy pass over the
@@ -225,9 +239,12 @@ class Medium:
     neighbor_refresh_s:
         Maximum age of the neighbor index snapshot before it is rebuilt.
     max_speed_ms:
-        Upper bound on node speed, used to widen stale-index queries so a
-        moving receiver can never be missed.  Raise it for scenarios with
-        faster (or teleporting) mobility.
+        Upper bound on node speed, used to widen stale-index queries and
+        to time reach horizons, so a moving receiver can never be missed.
+        :meth:`attach` raises it to the attached mobility model's
+        :meth:`~repro.mobility.base.MobilityModel.max_speed_ms`; radios
+        with only a ``position_fn`` must stay within the configured
+        value, so raise it for faster (or teleporting) ones.
     neighbor_index_min_nodes:
         Below this interface count the index is skipped (a linear scan of
         so few nodes is cheaper than grid bookkeeping).
@@ -256,6 +273,7 @@ class Medium:
         "_index_version",
         "_reach_radius_m",
         "_tx_radius_m",
+        "_horizons",
     )
 
     def __init__(
@@ -310,6 +328,10 @@ class Medium:
         # Per-transmit-power query radius (radios share a handful of
         # distinct powers, so this stays tiny).
         self._tx_radius_m: dict[float, float] = {}
+        # Per-transmitter reach horizon: (valid until, quiet).  Quiet
+        # means no other radio can be in reach before that time; a
+        # transmitter in reach keeps the full path until its next scan.
+        self._horizons: dict[NetworkInterface, tuple[float, bool]] = {}
 
     @property
     def channel(self) -> Channel:
@@ -343,7 +365,9 @@ class Medium:
         reassigned afterwards — both reception paths read the snapshot,
         so a mid-run swap would silently keep the attach-time values.
         Positions stay live either way (``position_fn`` / the mobility
-        model are queried per broadcast).
+        model are queried per broadcast).  The medium's speed bound rises
+        to the mobility model's top speed if that is higher; it is never
+        lowered.
         """
         if iface in self._ongoing:
             raise MacError(f"interface {iface.name!r} already attached")
@@ -359,13 +383,19 @@ class Medium:
             mobility.batch_key() if mobility is not None else None,
             mobility,
         )
+        if mobility is not None:
+            top_speed = mobility.max_speed_ms()
+            if top_speed is not None and top_speed > self._max_speed_ms:
+                self._max_speed_ms = top_speed
         self.invalidate_neighbors()
 
     def invalidate_neighbors(self) -> None:
-        """Force a neighbor-index rebuild (topology or mobility jump)."""
+        """Force a neighbor-index rebuild and drop every reach horizon
+        (topology or mobility jump)."""
         self._index_version += 1
         self._reach_radius_m = None
         self._tx_radius_m.clear()
+        self._horizons.clear()
 
     # -- candidate discovery --------------------------------------------------
 
@@ -383,6 +413,47 @@ class Medium:
         if not math.isfinite(max_loss):
             return math.inf
         return self._channel.max_range_m(max_loss)
+
+    def _tx_reach_m(self, tx_power_dbm: float) -> float:
+        """:meth:`_radius_for_loss_budget`, cached per transmit power
+        (radios share a handful of distinct powers)."""
+        radius = self._tx_radius_m.get(tx_power_dbm)
+        if radius is None:
+            radius = self._radius_for_loss_budget(tx_power_dbm)
+            self._tx_radius_m[tx_power_dbm] = radius
+        return radius
+
+    def _scan_horizon(
+        self, tx_iface: "NetworkInterface", now: float
+    ) -> tuple[float, bool]:
+        """Rescan *tx_iface*'s reach horizon: ``(valid until, quiet)``.
+
+        Quiet: the nearest other radio is at d > R, so none can enter
+        reach before ``now + (d - R) / (2 · max_speed_ms)``.  In reach:
+        the next scan waits ``neighbor_refresh_s``.  An infinite R is
+        never quiet.
+        """
+        # The 1 m guard absorbs rounding in the closed-form range inverse.
+        reach = self._tx_reach_m(tx_iface.config.tx_power_dbm) + 1.0
+        nearest = math.inf
+        if math.isfinite(reach):
+            tx_pos = tx_iface.position()
+            for iface in self._interfaces:
+                if iface is not tx_iface:
+                    nearest = min(nearest, tx_pos.distance_to(iface.position()))
+                    if nearest <= reach:
+                        break
+        if nearest > reach:
+            closing_speed = 2.0 * self._max_speed_ms
+            until = (
+                now + (nearest - reach) / closing_speed
+                if closing_speed > 0.0 else math.inf
+            )
+            horizon = (until, True)
+        else:
+            horizon = (now + self._neighbor_refresh_s, False)
+        self._horizons[tx_iface] = horizon
+        return horizon
 
     def _candidates(self, tx_iface: "NetworkInterface", tx_pos: "Vec2") -> list:
         """Receivers that could possibly pass the reachability bound.
@@ -409,11 +480,7 @@ class Medium:
             )
         if not math.isfinite(cell):
             return interfaces
-        tx_power = tx_iface.config.tx_power_dbm
-        radius = self._tx_radius_m.get(tx_power)
-        if radius is None:
-            radius = self._radius_for_loss_budget(tx_power)
-            self._tx_radius_m[tx_power] = radius
+        radius = self._tx_reach_m(tx_iface.config.tx_power_dbm)
         now = self._sim.now
         index = self._index
         if (
@@ -446,8 +513,6 @@ class Medium:
             raise MacError(f"interface {tx_iface.name!r} not attached to this medium")
         now = self._sim.now
         airtime = frame_airtime(frame.size_bytes, rate)
-        end = now + airtime
-        tx_pos = tx_iface.position()
         self._tx_seq += 1
         tx_seq = self._tx_seq
         if self._trace is not None:
@@ -457,8 +522,22 @@ class Medium:
         for arrival in ongoing[tx_iface]:
             arrival.half_duplex = True
 
-        channel = self._channel
         fast = self._fast_path
+        if fast:
+            horizon = self._horizons.get(tx_iface)
+            if horizon is None or now >= horizon[0]:
+                horizon = self._scan_horizon(tx_iface, now)
+            if horizon[1]:
+                # Before the reach horizon: nobody can hear this frame.
+                # No span either — 100k+ empty ones would flood the
+                # tracer's ring buffer; the probe counts them.
+                if self._obs is not None:
+                    self._obs.on_unheard()
+                return airtime
+
+        end = now + airtime
+        tx_pos = tx_iface.position()
+        channel = self._channel
         headroom = self._cull_headroom_db
         tx_power = tx_iface.config.tx_power_dbm
         tx_id = tx_iface.node_id

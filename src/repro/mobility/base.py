@@ -57,6 +57,15 @@ class MobilityModel(abc.ABC):
         """Positions of *models* (one shared :meth:`batch_key`) at *time*."""
         raise NotImplementedError
 
+    def max_speed_ms(self) -> float | None:
+        """Upper bound on this model's speed [m/s], or ``None`` if unknown.
+
+        The medium raises its speed bound to the fastest attached model
+        (see :meth:`repro.mac.medium.Medium.attach`): candidate discovery
+        and the reach horizon are exact only while no radio outruns it.
+        """
+        return None
+
     def speed(self, time: float) -> float:
         """Scalar speed at *time*; default via symmetric differencing."""
         dt = 0.05
@@ -143,6 +152,15 @@ class TraceMobility(MobilityModel):
     ) -> tuple[np.ndarray, np.ndarray]:
         arcs = np.array([m.arc_length(time) for m in models])
         return models[0].track.points_at(arcs)
+
+    def max_speed_ms(self) -> float:
+        # Arc length bounds the straight-line distance along the track, so
+        # the fastest interpolation leg bounds the planar speed too.
+        times, arcs = self._times, self._arcs
+        return max(
+            abs(arcs[i + 1] - arcs[i]) / (times[i + 1] - times[i])
+            for i in range(len(times) - 1)
+        )
 
     def speed(self, time: float) -> float:
         dt = 0.05

@@ -81,6 +81,9 @@ class PathMobility(MobilityModel):
             s = np.minimum(s, track.length)
         return track.points_at(s)
 
+    def max_speed_ms(self) -> float:
+        return self._speed
+
     def speed(self, time: float) -> float:
         if time < self._start_time:
             return 0.0

@@ -39,5 +39,8 @@ class StaticMobility(MobilityModel):
             np.array([m._position.y for m in models]),
         )
 
+    def max_speed_ms(self) -> float:
+        return 0.0
+
     def speed(self, time: float) -> float:
         return 0.0

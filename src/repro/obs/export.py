@@ -176,12 +176,14 @@ def render_stats_report(
     if broadcasts:
         batch = counter("medium.batch_broadcasts")
         scalar = counter("medium.scalar_broadcasts")
+        unheard = counter("medium.unheard_broadcasts")
         before = counter("medium.candidates_before_cull")
         after = counter("medium.candidates_after_cull")
         lines.append("medium")
         lines.append(
             f"  broadcasts        {_fmt_count(broadcasts):>10}"
-            f"  (batch {_fmt_count(batch)} / scalar {_fmt_count(scalar)})"
+            f"  (batch {_fmt_count(batch)} / scalar {_fmt_count(scalar)}"
+            f" / unheard {_fmt_count(unheard)})"
         )
         culled = 100.0 * (1.0 - after / before) if before else 0.0
         lines.append(
@@ -208,7 +210,8 @@ def render_stats_report(
     else:
         known.update((
             "medium.batch_broadcasts", "medium.scalar_broadcasts",
-            "medium.candidates_before_cull", "medium.candidates_after_cull",
+            "medium.unheard_broadcasts", "medium.candidates_before_cull",
+            "medium.candidates_after_cull",
             "medium.batch_lanes", "medium.frame_end_batch",
             "medium.frame_end_scalar", "medium.delivery_lanes",
         ))

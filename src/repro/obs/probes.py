@@ -78,6 +78,7 @@ class MediumProbes:
         "broadcasts",
         "batch_broadcasts",
         "scalar_broadcasts",
+        "unheard_broadcasts",
         "candidates",
         "admitted",
         "lanes",
@@ -91,6 +92,9 @@ class MediumProbes:
         self.broadcasts = reg.counter("medium.broadcasts")
         self.batch_broadcasts = reg.counter("medium.batch_broadcasts")
         self.scalar_broadcasts = reg.counter("medium.scalar_broadcasts")
+        # Broadcasts sent before their transmitter's reach horizon: no
+        # radio could be in reach, so no receiver was even looked up.
+        self.unheard_broadcasts = reg.counter("medium.unheard_broadcasts")
         self.candidates = reg.counter("medium.candidates_before_cull")
         self.admitted = reg.counter("medium.candidates_after_cull")
         self.lanes = reg.histogram("medium.batch_lanes", lo=1.0, hi=1e4)
@@ -112,6 +116,11 @@ class MediumProbes:
             self.batch_broadcasts.value += 1
         else:
             self.scalar_broadcasts.value += 1
+
+    def on_unheard(self) -> None:
+        """Account one broadcast skipped by the reach horizon."""
+        self.broadcasts.value += 1
+        self.unheard_broadcasts.value += 1
 
 
 class ProtocolProbes:

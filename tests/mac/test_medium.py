@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.geom import Vec2
+from repro import obs
+from repro.geom import Polyline, Vec2
 from repro.mac.frames import DataFrame, NodeId
 from repro.mac.interface import NetworkInterface
 from repro.mac.medium import LossCause, Medium
 from repro.mac.timing import frame_airtime
+from repro.mobility.base import TraceMobility
+from repro.mobility.path import PathMobility
+from repro.mobility.static import StaticMobility
 from repro.radio.channel import Channel
 from repro.radio.modulation import rate_by_name
 from repro.radio.pathloss import LogDistancePathLoss
@@ -609,3 +613,120 @@ class TestBatchKernel:
         # Scripted power must be visible on every record in both modes.
         assert all(r[-1] == -60.0 for r in batched)
         assert batched == scalar
+
+
+def _mobile_iface(sim, medium, index, mobility):
+    """An interface whose position (and speed bound) come from *mobility*."""
+    return NetworkInterface(
+        sim,
+        medium,
+        NodeId(index + 1),
+        (lambda m: (lambda: m.position(sim.now)))(mobility),
+        RadioConfig(),
+        sim.streams.get(f"mac-{index}"),
+        name=f"if{index + 1}",
+        mobility=mobility,
+    )
+
+
+def _rx_rows(trace):
+    return [
+        (r.time, int(r.node), r.frame.seq, r.cause, r.snr_db, r.rx_power_dbm)
+        for r in trace.rx_records
+    ]
+
+
+class TestReachHorizon:
+    """Step 0: broadcasts before the transmitter's reach horizon skip
+    the receiver lookup, and stay bit-identical to the oracle."""
+
+    def _approach(self, *, fast_path):
+        """A lone static beacon; a receiver drives in from 5 km at the
+        100 m/s speed bound.  Returns (rx rows, unheard broadcasts)."""
+        with obs.instrumented():
+            trace = TraceCollector()
+            sim, medium, _ = make_net([], trace=trace, seed=4, fast_path=fast_path)
+            beacon = _mobile_iface(sim, medium, 0, StaticMobility(Vec2(0, 0)))
+            road = Polyline([Vec2(5000, 0), Vec2(20, 0)])
+            _mobile_iface(sim, medium, 1, PathMobility(road, 100.0))
+            for k in range(550):
+                frame = data_frame(beacon.node_id, NodeId(2), seq=k)
+                sim.schedule(k * 0.1, medium.transmit, beacon, frame, RATE)
+            sim.run()
+            unheard = obs.registry().counter("medium.unheard_broadcasts").value
+        return _rx_rows(trace), unheard
+
+    def test_approaching_receiver_matches_oracle(self):
+        production, unheard = self._approach(fast_path=True)
+        oracle, oracle_unheard = self._approach(fast_path=False)
+        assert production == oracle
+        # The first heard broadcast is the same on both paths, and the
+        # receiver started out of reach, so the horizon skipped some.
+        assert production and production[0][2] == oracle[0][2] > 0
+        assert unheard > 0
+        assert oracle_unheard == 0  # the oracle never consults the horizon
+
+    def test_radio_attached_mid_run_is_heard_by_next_broadcast(self):
+        def run(fast_path):
+            with obs.instrumented():
+                trace = TraceCollector()
+                sim, medium, (beacon,) = make_net(
+                    [Vec2(0, 0)], trace=trace, fast_path=fast_path
+                )
+                for k in range(20):
+                    frame = data_frame(beacon.node_id, NodeId(2), seq=k)
+                    sim.schedule(k * 0.1, medium.transmit, beacon, frame, RATE)
+                sim.schedule(
+                    1.02,
+                    lambda: NetworkInterface(
+                        sim, medium, NodeId(2), lambda: Vec2(20, 0),
+                        RadioConfig(), sim.streams.get("mac-late"), name="late",
+                    ),
+                )
+                sim.run()
+                unheard = obs.registry().counter("medium.unheard_broadcasts").value
+            return _rx_rows(trace), unheard
+
+        production, unheard = run(True)
+        # Alone on the air, the beacon's first 11 broadcasts are unheard;
+        # the attach drops its horizon, so broadcast 11 (t=1.1) is heard.
+        assert unheard == 11
+        assert [row[2] for row in production] == list(range(11, 20))
+        assert production == run(False)[0]
+
+
+class TestSpeedBoundFromMobility:
+    """The medium's speed bound rises to the attached models' top speed.
+
+    A recorded 6 km leg in 0.5 s (12 km/s) passes a line of static
+    beacons.  Under the configured 100 m/s bound, a stale neighbor index
+    (17 radios) or a reach horizon (2 radios) would miss the mover.
+    """
+
+    def _pass_records(self, n_static, *, fast_path):
+        trace = TraceCollector()
+        sim, medium, _ = make_net([], trace=trace, seed=6, fast_path=fast_path)
+        xs = [1500.0] if n_static == 1 else [200.0 * i for i in range(n_static)]
+        beacons = [
+            _mobile_iface(sim, medium, i, StaticMobility(Vec2(x, 0)))
+            for i, x in enumerate(xs)
+        ]
+        road = Polyline([Vec2(-1500, 30), Vec2(4500, 30)])
+        leg = TraceMobility(road, [0.0, 10.0, 10.5, 20.0], [0.0, 0.0, 6000.0, 6000.0])
+        mover = _mobile_iface(sim, medium, n_static, leg)
+        rate = rate_by_name("dsss-11")
+        for k in range(70):
+            for i, beacon in enumerate(beacons):
+                frame = data_frame(beacon.node_id, mover.node_id, seq=k, size=100)
+                sim.schedule(9.9 + 0.01 * k + 3e-4 * i, medium.transmit, beacon, frame, rate)
+        sim.run()
+        rows = _rx_rows(trace)
+        return rows, sum(1 for row in rows if row[1] == int(mover.node_id))
+
+    @pytest.mark.parametrize("n_static", [1, 16], ids=["lone", "17-radios"])
+    def test_production_matches_oracle(self, n_static):
+        production, at_mover = self._pass_records(n_static, fast_path=True)
+        oracle, oracle_at_mover = self._pass_records(n_static, fast_path=False)
+        assert oracle_at_mover > 0  # the mover really passes within reach
+        assert at_mover == oracle_at_mover
+        assert production == oracle

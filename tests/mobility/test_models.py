@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import MobilityError
 from repro.geom import Polyline, Vec2
-from repro.mobility.base import TraceMobility
+from repro.mobility.base import MobilityModel, TraceMobility
 from repro.mobility.path import PathMobility
 from repro.mobility.static import StaticMobility
 
@@ -17,6 +17,9 @@ class TestStatic:
 
     def test_speed_zero(self):
         assert StaticMobility(Vec2(0, 0)).speed(5.0) == 0.0
+
+    def test_max_speed_zero(self):
+        assert StaticMobility(Vec2(0, 0)).max_speed_ms() == 0.0
 
 
 class TestPathMobility:
@@ -49,6 +52,9 @@ class TestPathMobility:
         with pytest.raises(MobilityError):
             PathMobility(straight, 0.0)
 
+    def test_max_speed_is_the_constant_speed(self, straight):
+        assert PathMobility(straight, 12.5, start_time=3.0).max_speed_ms() == 12.5
+
     def test_start_arc_offset(self, straight):
         model = PathMobility(straight, 10.0, start_arc_length=30.0)
         assert model.position(0.0) == Vec2(30, 0)
@@ -73,6 +79,13 @@ class TestTraceMobility:
         trace = TraceMobility(track, [0.0, 10.0], [0.0, 100.0])
         assert trace.speed(5.0) == pytest.approx(10.0, rel=0.01)
 
+    def test_max_speed_is_the_fastest_leg(self, track):
+        # Legs at 10, 40 and 5 m/s; the parked tails do not count.
+        trace = TraceMobility(
+            track, [0.0, 1.0, 1.5, 3.5], [0.0, 10.0, 30.0, 40.0]
+        )
+        assert trace.max_speed_ms() == 40.0
+
     def test_validation(self, track):
         with pytest.raises(MobilityError):
             TraceMobility(track, [0.0], [0.0])
@@ -90,6 +103,16 @@ class TestTraceMobility:
         trace = TraceMobility(loop, [0.0, 10.0], [90.0, 110.0])
         # Unwrapped arc 110 on a 100 m loop = position at arc 10.
         assert trace.position(10.0) == loop.point_at(10.0)
+
+
+def test_base_model_top_speed_unknown():
+    class Hover(MobilityModel):
+        __slots__ = ()
+
+        def position(self, time):
+            return Vec2(0, 0)
+
+    assert Hover().max_speed_ms() is None
 
 
 class TestBatchPositions:

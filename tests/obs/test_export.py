@@ -112,9 +112,10 @@ class TestRenderStatsReport:
             reg.gauge("sim.queue_depth").set(depth)
         reg.table("sim.cost_centers").add("process:_hello_loop", 0.25)
         reg.table("sim.cost_centers").add("Medium._finish_transmission", 0.05)
-        reg.counter("medium.broadcasts").inc(400)
+        reg.counter("medium.broadcasts").inc(500)
         reg.counter("medium.batch_broadcasts").inc(390)
         reg.counter("medium.scalar_broadcasts").inc(10)
+        reg.counter("medium.unheard_broadcasts").inc(100)
         reg.counter("medium.candidates_before_cull").inc(16000)
         reg.counter("medium.candidates_after_cull").inc(7000)
         reg.counter("proto.hello_tx").inc(900)
@@ -135,6 +136,7 @@ class TestRenderStatsReport:
         report = render_stats_report(self._snapshot())
         assert "medium" in report
         assert "56.2% culled" in report
+        assert "(batch 390 / scalar 10 / unheard 100)" in report
         assert "protocol" in report
         assert "packet buffer" in report
         assert "75.0% hits" in report

@@ -79,6 +79,14 @@ def run_rows(scenario: str, config, *, fast_path: bool, instrumented: bool = Fal
             # Guard against a silently dead pin: the instrumentation must
             # actually have observed the round it claims not to perturb.
             assert obs.registry().counter("sim.events_fired").value > 0
+            # Likewise the reach horizon: multi_ap's APs beacon to an
+            # empty road, so production must skip some broadcasts there;
+            # the oracle never consults the horizon.
+            unheard = obs.registry().counter("medium.unheard_broadcasts").value
+            if not fast_path:
+                assert unheard == 0
+            elif scenario == "multi_ap":
+                assert unheard > 0
         assert len(tracer.spans()) > 0
     else:
         run_campaign(spec, store, workers=1)
