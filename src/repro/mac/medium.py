@@ -38,16 +38,18 @@ grid (cell size = the maximum reachable radius implied by the path-loss
 model), so a broadcast costs O(reachable receivers), not O(attached
 interfaces).  A transmitter in reach of some radio rescans its horizon
 once per ``neighbor_refresh_s``, not per broadcast.  Candidate sets of
-at least ``batch_min_candidates`` receivers run steps 1–3, and their
-frame end, as one NumPy pass through the vectorized batch channel kernel
-(:mod:`repro.radio.batch`); smaller sets take the scalar per-receiver
-loop.
+at least ``batch_min_candidates`` receivers run step 1 as one NumPy pass
+through the batch channel kernel (:mod:`repro.radio.batch`), which then
+draws steps 2–3 vectorized only for at least
+:data:`~repro.radio.batch.DRAW_CROSSOVER` survivors and per lane below
+that; smaller candidate sets take the scalar per-receiver loop.  Every
+frame end classifies per arrival (step 5), on either path.
 
 ``fast_path=False`` selects the exhaustive scalar oracle instead: every
-attached interface is bounded *and sampled* by the scalar loop, and every
-frame end is classified per arrival; it never consults the reach
-horizon.  It exists for tests — the production path must reproduce it
-bit for bit (the A/B pin in ``tests/scenarios/test_fast_path_ab.py``).
+attached interface is bounded *and sampled* by the scalar loop; it never
+consults the reach horizon.  It exists for tests — the production path
+must reproduce it bit for bit (the A/B pin in
+``tests/scenarios/test_fast_path_ab.py``).
 """
 
 from __future__ import annotations
@@ -117,16 +119,6 @@ class _Arrival:
         self.end = end
         self.interferers_dbm: list[float] = []
         self.half_duplex = False
-
-
-def _post_draw_cause(delivered: bool, arrival: "_Arrival") -> LossCause:
-    """Loss cause once the frame-error draw is in — shared by both
-    frame-end paths so the attribution rules cannot drift apart."""
-    if delivered:
-        return LossCause.DELIVERED
-    if arrival.interferers_dbm:
-        return LossCause.INTERFERENCE
-    return LossCause.CHANNEL
 
 
 class _NeighborIndex:
@@ -206,18 +198,18 @@ class Medium:
         their transmitter's reach horizon skip reception, receivers are
         found through the spatial neighbor index, hopeless links are culled
         before sampling, and candidate sets of at least
-        ``batch_min_candidates`` are evaluated by the vectorized batch
-        kernel (:mod:`repro.radio.batch`) — one NumPy pass over the
-        whole set instead of a per-receiver Python loop.  When false, the
+        ``batch_min_candidates`` are culled by the batch kernel
+        (:mod:`repro.radio.batch`) — one NumPy pass over the whole set
+        instead of a per-receiver Python loop.  When false, the
         exhaustive scalar oracle: every attached interface is bounded and
         sampled by the per-receiver reference loop.  The two are
         bit-identical by construction (keyed draws + pinned float64
         semantics); the oracle exists so tests can prove it.
     batch_min_candidates:
-        Below this candidate count the scalar loop wins (NumPy's fixed
-        per-op overhead beats a short Python loop), so the batch kernel
-        steps aside.  Purely a throughput knob — both paths produce the
-        same arrivals.
+        Below this candidate count the scalar loop culls and samples
+        each candidate itself (NumPy's fixed per-op overhead beats a
+        short Python loop), so the batch kernel's cull pass steps aside.
+        Purely a throughput knob — both paths produce the same arrivals.
     cull_headroom_db:
         Shadowing boost granted to a link before it is declared
         unreachable: a receiver is culled when ``tx_power + rx_gain -
@@ -634,14 +626,15 @@ class Medium:
         tx_seq: int,
         finishing: list[tuple["NetworkInterface", _Arrival]],
     ) -> None:
-        """One vectorized pass over the candidate set (bit-identical).
+        """One vectorized cull pass over the candidate set (bit-identical).
 
         Gathers the candidates into flat arrays — positions unpacked
         once per Vec2, gains and cached thresholds alongside — and hands
-        them to :func:`repro.radio.batch.broadcast_samples`; survivors
-        come back as aligned arrays and are admitted in candidate order,
-        so arrival ordering (and with it interference pairing and event
-        ranks) matches the scalar loop exactly.
+        them to :func:`repro.radio.batch.broadcast_samples`, which culls
+        every lane at once and draws the survivors (per lane below its
+        crossover).  They come back as aligned arrays and are admitted in
+        candidate order, so arrival ordering (and with it interference
+        pairing and event ranks) matches the scalar loop exactly.
         """
         static = self._rx_static
         scratch = self._scratch
@@ -723,24 +716,17 @@ class Medium:
     ) -> None:
         """Frame end for one broadcast: classify all arrivals, then deliver.
 
-        Both classification paths collect the successful receptions into
-        one ``delivered`` list (arrival order), handed to each receiver's
-        ``iface.deliver`` once every arrival is classified.  Deferring
-        delivery past classification is exact: channel draws are keyed
-        per (link, transmission) and protocol reactions only schedule
-        future events, so no classification can observe a delivery's
-        side effects either way.
+        Classification runs per arrival in arrival order, collecting the
+        successful receptions into one ``delivered`` list that is handed
+        to each receiver's ``iface.deliver`` once every arrival is
+        classified.  Deferring delivery past classification is exact:
+        channel draws are keyed per (link, transmission) and protocol
+        reactions only schedule future events, so no classification can
+        observe a delivery's side effects either way.
         """
         delivered: list[tuple[NetworkInterface, Frame, RxInfo]] = []
-        if self._fast_path and len(finishing) >= self._batch_min_candidates:
-            if self._obs is not None:
-                self._obs.frame_end_batch.value += 1
-            self._finish_batch(finishing, delivered)
-        else:
-            if self._obs is not None:
-                self._obs.frame_end_scalar.value += 1
-            for rx_iface, arrival in finishing:
-                self._finish_arrival(rx_iface, arrival, delivered)
+        for rx_iface, arrival in finishing:
+            self._finish_arrival(rx_iface, arrival, delivered)
         if not delivered:
             return
         if self._obs is not None:
@@ -748,72 +734,18 @@ class Medium:
         for rx_iface, frame, info in delivered:
             rx_iface.deliver(frame, info)
 
-    def _finish_batch(
+    def _finish_arrival(
         self,
-        finishing: list[tuple["NetworkInterface", _Arrival]],
+        rx_iface: "NetworkInterface",
+        arrival: _Arrival,
         delivered: list[tuple["NetworkInterface", Frame, RxInfo]],
     ) -> None:
-        """Frame-end bookkeeping for a whole broadcast at once.
+        """Frame end at one receiver: interference, capture, delivery draw.
 
-        All arrivals of one transmission share the frame and rate, so
-        the SINR → frame-error-rate curve evaluates as one vectorized
-        pass; interference totals, loss causes, Bernoulli draws and
-        trace rows still run per arrival in the scalar order, which
-        keeps the outcome stream bit-identical to
-        :meth:`_finish_arrival`.  Successful receptions are appended to
-        *delivered* for the caller to dispatch.
+        A successful reception is appended to *delivered* for the caller
+        to dispatch.
         """
-        n = len(finishing)
-        snrs: list[float] = []
-        npis: list[float] = []
-        causes: list[LossCause | None] = [None] * n
-        pending: list[int] = []
-        for i, (rx_iface, arrival) in enumerate(finishing):
-            npi, snr_db, cause = self._pre_classify(rx_iface, arrival)
-            npis.append(npi)
-            snrs.append(snr_db)
-            causes[i] = cause
-            if cause is None:
-                pending.append(i)
-        if pending:
-            first = finishing[pending[0]][1]
-            outcomes = self._channel.frames_delivered_batch(
-                [finishing[i][1].sample for i in pending],
-                first.rate,
-                first.frame,
-                np.array([npis[i] for i in pending]),
-                [finishing[i][0].node_id for i in pending],
-            )
-            for i, ok in zip(pending, outcomes):
-                causes[i] = _post_draw_cause(ok, finishing[i][1])
-        now = self._sim.now
-        trace = self._trace
-        for i, (rx_iface, arrival) in enumerate(finishing):
-            self._ongoing[rx_iface].remove(arrival)
-            cause = causes[i]
-            if trace is not None:
-                trace.on_rx(
-                    now, rx_iface.node_id, arrival.frame, cause, snrs[i],
-                    arrival.sample.rx_power_dbm,
-                )
-            if cause is LossCause.DELIVERED:
-                delivered.append((
-                    rx_iface,
-                    arrival.frame,
-                    RxInfo(now, arrival.sample.rx_power_dbm, snrs[i]),
-                ))
-
-    def _pre_classify(
-        self, rx_iface: "NetworkInterface", arrival: _Arrival
-    ) -> tuple[float, float, LossCause | None]:
-        """``(noise+interference, snr, cause)`` before the delivery draw.
-
-        The single source of the frame-end semantics — interference
-        aggregation and the capture model — shared by the per-arrival
-        and batched paths so the two can never drift apart.  A ``None``
-        cause means the outcome still depends on the SINR-driven
-        frame-error draw.
-        """
+        self._ongoing[rx_iface].remove(arrival)
         noise_floor = rx_iface.config.noise_floor_dbm
         interferers = arrival.interferers_dbm
         if not interferers:
@@ -827,35 +759,24 @@ class Medium:
             noise_plus_interference = dbm_sum_batch([noise_floor] + interferers)
         snr_db = arrival.sample.rx_power_dbm - noise_plus_interference
         if arrival.half_duplex:
-            return noise_plus_interference, snr_db, LossCause.HALF_DUPLEX
-        if interferers and snr_db < rx_iface.config.capture_threshold_db:
+            cause = LossCause.HALF_DUPLEX
+        elif interferers and snr_db < rx_iface.config.capture_threshold_db:
             # Same-code DSSS interference is not suppressed by processing
             # gain: without a capture margin over the interferers the frame
             # is destroyed (classic 802.11 capture model).
-            return noise_plus_interference, snr_db, LossCause.INTERFERENCE
-        return noise_plus_interference, snr_db, None
-
-    def _finish_arrival(
-        self,
-        rx_iface: "NetworkInterface",
-        arrival: _Arrival,
-        delivered: list[tuple["NetworkInterface", Frame, RxInfo]],
-    ) -> None:
-        self._ongoing[rx_iface].remove(arrival)
-        noise_plus_interference, snr_db, cause = self._pre_classify(
-            rx_iface, arrival
-        )
-        if cause is None:
-            cause = _post_draw_cause(
-                self._channel.frame_delivered(
-                    arrival.sample,
-                    arrival.rate,
-                    arrival.frame,
-                    noise_plus_interference,
-                    rx_id=rx_iface.node_id,
-                ),
-                arrival,
-            )
+            cause = LossCause.INTERFERENCE
+        elif self._channel.frame_delivered(
+            arrival.sample,
+            arrival.rate,
+            arrival.frame,
+            noise_plus_interference,
+            rx_id=rx_iface.node_id,
+        ):
+            cause = LossCause.DELIVERED
+        elif interferers:
+            cause = LossCause.INTERFERENCE
+        else:
+            cause = LossCause.CHANNEL
 
         if self._trace is not None:
             self._trace.on_rx(

@@ -191,8 +191,7 @@ def render_stats_report(
             f"{_fmt_count(after)} admitted ({culled:.1f}% culled)"
         )
         lanes = snapshot.get("medium.batch_lanes")
-        known.update(("medium.batch_lanes", "medium.frame_end_batch",
-                      "medium.frame_end_scalar"))
+        known.add("medium.batch_lanes")
         if lanes and lanes["count"]:
             mean_lanes = lanes["total"] / lanes["count"]
             lines.append(
@@ -212,8 +211,7 @@ def render_stats_report(
             "medium.batch_broadcasts", "medium.scalar_broadcasts",
             "medium.unheard_broadcasts", "medium.candidates_before_cull",
             "medium.candidates_after_cull",
-            "medium.batch_lanes", "medium.frame_end_batch",
-            "medium.frame_end_scalar", "medium.delivery_lanes",
+            "medium.batch_lanes", "medium.delivery_lanes",
         ))
 
     hello_tx = counter("proto.hello_tx")

@@ -82,8 +82,6 @@ class MediumProbes:
         "candidates",
         "admitted",
         "lanes",
-        "frame_end_batch",
-        "frame_end_scalar",
         "delivery_lanes",
         "scalar_floor_calls",
     )
@@ -98,11 +96,10 @@ class MediumProbes:
         self.candidates = reg.counter("medium.candidates_before_cull")
         self.admitted = reg.counter("medium.candidates_after_cull")
         self.lanes = reg.histogram("medium.batch_lanes", lo=1.0, hi=1e4)
-        self.frame_end_batch = reg.counter("medium.frame_end_batch")
-        self.frame_end_scalar = reg.counter("medium.frame_end_scalar")
         # Scalar channel.sample calls issued by the medium's per-receiver
         # loop (candidate sets below batch_min_candidates, and every
-        # broadcast of the oracle).
+        # broadcast of the oracle); the batch kernel's per-lane draws
+        # below its crossover are not counted here.
         self.scalar_floor_calls = reg.counter("medium.scalar_floor_calls")
         # Successful receivers per frame-end event (one per broadcast).
         self.delivery_lanes = reg.histogram("medium.delivery_lanes", lo=1.0, hi=1e4)

@@ -22,7 +22,7 @@ from typing import Hashable
 import numpy as np
 
 from repro.geom import Vec2
-from repro.radio.error_models import frame_error_rate, frame_error_rate_batch
+from repro.radio.error_models import frame_error_rate
 from repro.radio.fading import FadingModel, NoFading
 from repro.radio.keyed import hypot_map, stable_hash64
 from repro.radio.modulation import WifiRate
@@ -217,29 +217,12 @@ class Channel:
         ``(rx_power_dbm, mean_rx_power_dbm)`` arrays aligned with
         *rx_ids*, each lane bit-identical to the scalar call for that
         link (the keyed draws make the decomposition exact).  *budget*
-        forwards the :meth:`link_budget_batch` result.  Subclasses that
-        override :meth:`sample` (scripted realisations) are honoured by
-        falling back to the scalar call per candidate.
+        forwards the :meth:`link_budget_batch` result.  It does not call
+        an overridden :meth:`sample`;
+        :func:`~repro.radio.batch.broadcast_samples` draws such channels
+        per lane instead.
         """
         distances, losses = budget
-        if type(self).sample is not Channel.sample:
-            rx_power = np.empty(len(rx_ids))
-            mean_power = np.empty(len(rx_ids))
-            for i, rx_id in enumerate(rx_ids):
-                link_sample = self.sample(
-                    tx_id,
-                    rx_id,
-                    tx_pos,
-                    Vec2(float(rx_xs[i]), float(rx_ys[i])),
-                    tx_power_dbm,
-                    float(rx_gains_db[i]),
-                    time=time,
-                    tx_seq=tx_seq,
-                    budget=(float(distances[i]), float(losses[i])),
-                )
-                rx_power[i] = link_sample.rx_power_dbm
-                mean_power[i] = link_sample.mean_rx_power_dbm
-            return rx_power, mean_power
         links: list[tuple] = []
         hash_list: list[int] = []
         cache_get = self._links.get
@@ -275,43 +258,6 @@ class Channel:
         size_bytes = getattr(frame, "size_bytes")
         fer = frame_error_rate(rate, sinr_db, size_bytes)
         return bool(self._rng.random() >= fer)
-
-    def frames_delivered_batch(
-        self,
-        samples: list[LinkSample],
-        rate: WifiRate,
-        frame: object,
-        noise_plus_interference_dbm: np.ndarray,
-        rx_ids: list[Hashable],
-    ) -> list[bool]:
-        """One broadcast's delivery outcomes, in arrival order.
-
-        The default delegates to :meth:`frame_delivered` per arrival, so
-        subclasses that script outcomes for protocol tests keep working
-        unchanged.  The medium calls this from the batched frame-end
-        path; the base implementation below vectorizes the FER curve
-        while drawing the Bernoulli variates sequentially in the same
-        order as the scalar path (nothing else consumes this stream
-        inside a frame-end event, so the draw sequence is identical).
-        """
-        if type(self).frame_delivered is not Channel.frame_delivered:
-            return [
-                self.frame_delivered(
-                    sample, rate, frame, float(npi), rx_id=rx_id
-                )
-                for sample, npi, rx_id in zip(
-                    samples, noise_plus_interference_dbm.tolist(), rx_ids
-                )
-            ]
-        sinr_db = (
-            np.array([sample.rx_power_dbm for sample in samples])
-            - noise_plus_interference_dbm
-        )
-        fers = frame_error_rate_batch(
-            rate, sinr_db, getattr(frame, "size_bytes")
-        )
-        random = self._rng.random
-        return [bool(random() >= fer) for fer in fers.tolist()]
 
     def reset(self) -> None:
         """Clear per-link shadowing state (between rounds)."""

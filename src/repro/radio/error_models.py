@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from repro.errors import RadioError
-from repro.radio.keyed import libm_map
 from repro.radio.modulation import WifiRate
 from repro.units import bytes_to_bits
 
@@ -34,24 +31,6 @@ def frame_error_rate(rate: WifiRate, snr_db: float, size_bytes: int) -> float:
     # log1p keeps precision when BER is tiny and bits is large.
     log_success = bits * math.log1p(-ber)
     return 1.0 - math.exp(log_success)
-
-
-def frame_error_rate_batch(
-    rate: WifiRate, snr_db: np.ndarray, size_bytes: int
-) -> np.ndarray:
-    """Vectorized :func:`frame_error_rate` for one frame toward many SNRs.
-
-    Bit-identical per lane (the medium's batched frame-end path relies
-    on it): the BER comes from the rate's pinned batch curve, the
-    ``log1p``/``exp`` composition goes through libm, and the 0/0.5
-    saturation branches select exactly as the scalar code does.
-    """
-    if size_bytes <= 0:
-        raise RadioError(f"frame size must be positive, got {size_bytes!r}")
-    ber = rate.bit_error_rate_batch(snr_db)
-    bits = bytes_to_bits(size_bytes)
-    fer = 1.0 - libm_map(math.exp, bits * libm_map(math.log1p, -ber))
-    return np.where(ber <= 0.0, 0.0, np.where(ber >= 0.5, 1.0, fer))
 
 
 def frame_success_probability(rate: WifiRate, snr_db: float, size_bytes: int) -> float:

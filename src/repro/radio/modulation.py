@@ -26,10 +26,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import RadioError
-from repro.radio.keyed import libm_map
 from repro.units import MBPS
 
 
@@ -129,56 +126,6 @@ class WifiRate:
         if name == "ofdm-54":
             return _coded_ber(_ber_mqam(snr, 64), self.code_rate)
         raise RadioError(f"unknown rate {name!r}")
-
-    def bit_error_rate_batch(self, snr_db: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`bit_error_rate`, bit-identical per lane.
-
-        One rate serves a whole broadcast's arrivals, so the per-rate
-        branch is taken once; the transcendentals (``pow``, ``exp``,
-        ``erfc``) go through :func:`repro.radio.keyed.libm_map` to match
-        the scalar libm results exactly, everything else is plain
-        elementwise float64 in the scalar operation order.
-        """
-        snr = libm_map(_pow10, snr_db / 10.0)
-        name = self.name
-        if name == "dsss-1":
-            return 0.5 * libm_map(math.exp, -(snr * 11.0))
-        if name == "dsss-2":
-            return _q_batch(np.sqrt(1.172 * (snr * 5.5)))
-        if name == "dsss-5.5":
-            return _q_batch(np.sqrt(np.maximum(snr * 2.0, 0.0)))
-        if name == "dsss-11":
-            return _q_batch(np.sqrt(np.maximum(snr * 1.0, 0.0)))
-        if name in ("ofdm-6", "ofdm-9"):
-            return _coded_ber_batch(_q_batch(np.sqrt(2.0 * snr)), self.code_rate)
-        if name in ("ofdm-12", "ofdm-18"):
-            return _coded_ber_batch(_q_batch(np.sqrt(snr)), self.code_rate)
-        if name in ("ofdm-24", "ofdm-36"):
-            return _coded_ber_batch(_ber_mqam_batch(snr, 16), self.code_rate)
-        if name in ("ofdm-48", "ofdm-54"):
-            return _coded_ber_batch(_ber_mqam_batch(snr, 64), self.code_rate)
-        raise RadioError(f"unknown rate {name!r}")
-
-
-def _pow10(value: float) -> float:
-    return 10.0 ** value
-
-
-def _q_batch(x: np.ndarray) -> np.ndarray:
-    return 0.5 * libm_map(math.erfc, x / math.sqrt(2.0))
-
-
-def _ber_mqam_batch(snr_linear: np.ndarray, m: int) -> np.ndarray:
-    k = math.log2(m)
-    arg = np.sqrt(3.0 * snr_linear / (m - 1.0))
-    return (4.0 / k) * (1.0 - 1.0 / math.sqrt(m)) * _q_batch(arg)
-
-
-def _coded_ber_batch(raw_ber: np.ndarray, code_rate: float) -> np.ndarray:
-    raw_ber = np.minimum(np.maximum(raw_ber, 0.0), 0.5)
-    free_distance_gain = {0.5: 5.0, 2.0 / 3.0: 3.0, 0.75: 2.5}.get(round(code_rate, 4), 2.5)
-    coded = 0.5 * libm_map(lambda v: v ** free_distance_gain, 2.0 * raw_ber)
-    return np.minimum(coded, raw_ber)
 
 
 def _coded_ber(raw_ber: float, code_rate: float) -> float:

@@ -170,7 +170,6 @@ class GudmundsonShadowing(ShadowingModel):
         "clamp_sigmas",
         "_epoch",
         "_link_hashes",
-        "_corners",
         "_corner_blocks",
     )
 
@@ -192,23 +191,19 @@ class GudmundsonShadowing(ShadowingModel):
         self.clamp_sigmas = clamp_sigmas
         self._epoch = 0
         self._link_hashes: dict[LinkKey, int] = {}
-        # (link hash, corner) → unit Gaussian: a pure memo of keyed values.
-        # Consecutive frames of a moving link live in the same lattice
-        # cell for ~d_corr/speed seconds, so the eight corner draws are
-        # reused hundreds of times; capped and dropped wholesale when a
-        # long-running scenario accumulates too many cold corners.
-        self._corners: dict[tuple[int, int, int, int], float] = {}
         # (link hash, cell) → all eight corner Gaussians of that cell as
-        # one tuple: the batch kernel's cell-grained memo (one dict probe
-        # per candidate instead of eight, and tuples assemble into the
-        # (n, 8) matrix with a single np.array call).  Values are pure in
-        # (key, epoch), so this coexists with the scalar memo without any
-        # consistency protocol.
+        # one tuple, in trilinear order: a pure memo of keyed values that
+        # the scalar and batch paths share.  Consecutive frames of a
+        # moving link live in the same lattice cell for ~d_corr/speed
+        # seconds, so one cell's draws are reused hundreds of times; one
+        # dict probe per sample instead of eight, and tuples assemble
+        # into the batch kernel's (n, 8) matrix with a single np.array
+        # call.  Capped and dropped wholesale when a long-running
+        # scenario accumulates too many cold cells.
         self._corner_blocks: dict[
             tuple[int, int, int, int], tuple[float, ...]
         ] = {}
 
-    _MAX_CORNER_CACHE = 262144
     _MAX_BLOCK_CACHE = 32768
 
     def _link_hash(self, link: LinkKey) -> int:
@@ -218,15 +213,27 @@ class GudmundsonShadowing(ShadowingModel):
             self._link_hashes[link] = cached
         return cached
 
-    def _corner(self, h: int, ix: int, iy: int, iz: int) -> float:
-        key = (h, ix, iy, iz)
-        value = self._corners.get(key)
-        if value is None:
-            value = self._keyed.normal(h, self._epoch, ix, iy, iz)
-            if len(self._corners) >= self._MAX_CORNER_CACHE:
-                self._corners.clear()
-            self._corners[key] = value
-        return value
+    def _corner_block(
+        self, h: int, ix: int, iy: int, iz: int
+    ) -> tuple[float, ...]:
+        """One cell's eight corner Gaussians (the memo's miss path)."""
+        normal = self._keyed.normal
+        epoch = self._epoch
+        block = (
+            normal(h, epoch, ix, iy, iz),
+            normal(h, epoch, ix + 1, iy, iz),
+            normal(h, epoch, ix, iy + 1, iz),
+            normal(h, epoch, ix + 1, iy + 1, iz),
+            normal(h, epoch, ix, iy, iz + 1),
+            normal(h, epoch, ix + 1, iy, iz + 1),
+            normal(h, epoch, ix, iy + 1, iz + 1),
+            normal(h, epoch, ix + 1, iy + 1, iz + 1),
+        )
+        blocks = self._corner_blocks
+        if len(blocks) >= self._MAX_BLOCK_CACHE:
+            blocks.clear()
+        blocks[(h, ix, iy, iz)] = block
+        return block
 
     def sample_db(
         self, link: LinkKey, tx_pos: Vec2, rx_pos: Vec2, time: float = 0.0
@@ -250,21 +257,9 @@ class GudmundsonShadowing(ShadowingModel):
         gy = 1.0 - fy
         gz = 1.0 - fz
         block = self._corner_blocks.get((h, ix, iy, iz))
-        if block is not None:
-            # The batch kernel already drew this cell's eight corners
-            # (pure values, so reuse is exact): one probe, no per-corner
-            # lookups — mixed scalar/batch workloads share one cache.
-            c000, c100, c010, c110, c001, c101, c011, c111 = block
-        else:
-            corner = self._corner
-            c000 = corner(h, ix, iy, iz)
-            c100 = corner(h, ix + 1, iy, iz)
-            c010 = corner(h, ix, iy + 1, iz)
-            c110 = corner(h, ix + 1, iy + 1, iz)
-            c001 = corner(h, ix, iy, iz + 1)
-            c101 = corner(h, ix + 1, iy, iz + 1)
-            c011 = corner(h, ix, iy + 1, iz + 1)
-            c111 = corner(h, ix + 1, iy + 1, iz + 1)
+        if block is None:
+            block = self._corner_block(h, ix, iy, iz)
+        c000, c100, c010, c110, c001, c101, c011, c111 = block
         mix = gz * (
             gx * gy * c000
             + fx * gy * c100
@@ -389,7 +384,6 @@ class GudmundsonShadowing(ShadowingModel):
 
     def reset(self) -> None:
         self._epoch += 1
-        self._corners.clear()
         self._corner_blocks.clear()
 
 

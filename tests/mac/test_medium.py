@@ -319,7 +319,7 @@ class TestReceptionFastPath:
 class TestBatchKernel:
     """The production path (batch kernel on) vs the scalar oracle."""
 
-    def _storm_records(self, *, fast_path, n_nodes=30, broadcasts=120):
+    def _storm_records(self, *, fast_path, positions=None, broadcasts=120):
         from repro.mac.frames import NodeId
         from repro.radio.fading import RicianFading
         from repro.radio.shadowing import (
@@ -352,9 +352,11 @@ class TestBatchKernel:
         trace = TraceCollector()
         medium = Medium(sim, channel, trace=trace, fast_path=fast_path)
         rate = rate_by_name("dsss-11")
+        if positions is None:
+            positions = [Vec2(55.0 * i, (i % 3) * 7.0) for i in range(30)]
+        n_nodes = len(positions)
         ifaces = []
-        for i in range(n_nodes):
-            pos = Vec2(55.0 * i, (i % 3) * 7.0)
+        for i, pos in enumerate(positions):
             ifaces.append(
                 NetworkInterface(
                     sim,
@@ -380,6 +382,44 @@ class TestBatchKernel:
         batch = self._storm_records(fast_path=True)
         assert batch  # the topology must actually produce receptions
         assert batch == self._storm_records(fast_path=False)
+
+    def test_sparse_passes_draw_per_lane_and_match_oracle(self, monkeypatch):
+        """Every pass of the 30-node storm has 22–29 survivors, above the
+        kernel's draw crossover.  Here 12 radios in pairs 30 m apart,
+        1 km between pairs, give each pass 11 candidate lanes
+        (batch-sized) of which the cull keeps only a few: the kernel
+        draws those per lane, never vectorized, and the records equal
+        the oracle's."""
+        from repro.mac import medium as medium_module
+        from repro.radio.batch import DRAW_CROSSOVER
+
+        lanes = []
+        draws = []
+        kernel = medium_module.broadcast_samples
+        scalar_sample = Channel.sample
+
+        def spy(channel, tx_id, rx_ids, *args):
+            lanes.append(len(rx_ids))
+            return kernel(channel, tx_id, rx_ids, *args)
+
+        def counted_sample(self, *args, **kwargs):
+            draws.append(args[1])
+            return scalar_sample(self, *args, **kwargs)
+
+        def no_vectorized_draw(*args, **kwargs):
+            raise AssertionError("vectorized draw below the crossover")
+
+        monkeypatch.setattr(medium_module, "broadcast_samples", spy)
+        monkeypatch.setattr(Channel, "sample", counted_sample)
+        monkeypatch.setattr(Channel, "sample_batch", no_vectorized_draw)
+        pairs = [Vec2(1000.0 * (i // 2) + 30.0 * (i % 2), 0.0) for i in range(12)]
+        production = self._storm_records(fast_path=True, positions=pairs)
+        monkeypatch.undo()
+        assert len(lanes) == 120
+        assert min(lanes) >= 8 and max(lanes) < DRAW_CROSSOVER
+        assert 0 < len(draws) < sum(lanes) // 2  # the cull keeps a few lanes
+        assert LossCause.DELIVERED in {row[3] for row in production}
+        assert production == self._storm_records(fast_path=False, positions=pairs)
 
     def test_small_candidate_sets_use_scalar_loop(self):
         # Below batch_min_candidates the scalar loop runs — delivery
@@ -568,10 +608,13 @@ class TestBatchKernel:
             if node == 2 and seq == 1
         )
 
-    def test_scripted_channel_subclass_survives_batch_path(self):
+    def test_scripted_channel_subclass_survives_batch_path(self, monkeypatch):
         # A Channel subclass that scripts sample() must keep its
-        # behaviour even when the candidate set is batch-sized: the
-        # batch entry points fall back to the scalar overrides.
+        # behaviour even when the candidate set is batch-sized and more
+        # lanes survive the cull than the draw crossover: the batch
+        # kernel draws such a channel per lane through the override.
+        from repro.mac import medium as medium_module
+        from repro.radio.batch import DRAW_CROSSOVER
         from repro.radio.channel import LinkSample
 
         class ScriptedChannel(Channel):
@@ -588,8 +631,8 @@ class TestBatchKernel:
             trace = TraceCollector()
             medium = Medium(sim, channel, trace=trace, fast_path=fast_path)
             ifaces = []
-            for i in range(16):
-                pos = Vec2(40.0 * i, 0.0)
+            for i in range(n_radios):
+                pos = Vec2(10.0 * i, 0.0)
                 ifaces.append(
                     NetworkInterface(
                         sim, medium, NodeId(i + 1),
@@ -598,8 +641,10 @@ class TestBatchKernel:
                     )
                 )
             for k in range(20):
-                tx = ifaces[k % 16]
-                frame = data_frame(tx.node_id, ifaces[(k + 1) % 16].node_id, seq=k)
+                tx = ifaces[k % n_radios]
+                frame = data_frame(
+                    tx.node_id, ifaces[(k + 1) % n_radios].node_id, seq=k
+                )
                 sim.schedule(k * 2e-3, medium.transmit, tx, frame, rate_by_name("dsss-11"))
             sim.run()
             return [
@@ -607,9 +652,21 @@ class TestBatchKernel:
                 for r in trace.rx_records
             ]
 
+        n_radios = DRAW_CROSSOVER + 8
+        survivors = []
+        kernel = medium_module.broadcast_samples
+
+        def spy(*args):
+            result = kernel(*args)
+            survivors.append(len(result.kept))
+            return result
+
+        monkeypatch.setattr(medium_module, "broadcast_samples", spy)
         batched = records(True)
+        monkeypatch.undo()
         scalar = records(False)
         assert batched
+        assert survivors and min(survivors) > DRAW_CROSSOVER
         # Scripted power must be visible on every record in both modes.
         assert all(r[-1] == -60.0 for r in batched)
         assert batched == scalar

@@ -3,25 +3,22 @@
 Every ``*_batch`` method must return, lane for lane, *exactly* the float
 the scalar reference produces — ``==``, never ``isclose``.  Hypothesis
 drives random topologies, link identities, and keys through each layer
-(path loss, obstruction, shadowing, fading, the channel façade, the FER
-curve) and the full medium broadcast, so any reordering of float
-operations or NumPy/libm divergence fails loudly here before it can rot
-the scenario-level A/B pins.
+(path loss, obstruction, shadowing, fading, the channel façade) and the
+full medium broadcast, so any reordering of float operations or
+NumPy/libm divergence fails loudly here before it can rot the
+scenario-level A/B pins.
 """
 
-import math
-
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geom import Vec2
 from repro.geom.shapes import AxisRect
-from repro.radio.batch import broadcast_samples
+from repro.radio.batch import DRAW_CROSSOVER, broadcast_samples
 from repro.radio.channel import Channel
-from repro.radio.error_models import frame_error_rate, frame_error_rate_batch
 from repro.radio.fading import NoFading, RayleighFading, RicianFading
-from repro.radio.modulation import rate_by_name
 from repro.radio.obstruction import BuildingObstruction
 from repro.radio.pathloss import (
     FreeSpacePathLoss,
@@ -146,6 +143,39 @@ class TestShadowingBatchParity:
         )
 
     @settings(deadline=None)
+    @given(topology())
+    def test_gudmundson_scalar_and_batch_fill_the_same_memo(self, topo):
+        """Scalar samples on a fresh model memoise exactly the corner
+        blocks the batch path draws on another fresh model."""
+        (tx_x, tx_y), rxs, seed = topo
+        scalar_model, batch_model = (
+            GudmundsonShadowing(
+                np.random.default_rng(seed), sigma_db=5.0,
+                decorrelation_distance_m=17.0,
+            )
+            for _ in range(2)
+        )
+        tx = Vec2(tx_x, tx_y)
+        links, hashes = _links_for(rxs)
+        xs = np.array([x for x, _ in rxs])
+        ys = np.array([y for _, y in rxs])
+        dists = np.array([tx.distance_to(Vec2(x, y)) for x, y in rxs])
+        reference = np.array(
+            [
+                scalar_model.sample_db(link, tx, Vec2(x, y))
+                for link, (x, y) in zip(links, rxs)
+            ]
+        )
+        batch = batch_model.sample_db_batch(links, hashes, tx, xs, ys, dists)
+        assert np.array_equal(batch, reference)
+        assert scalar_model._corner_blocks == batch_model._corner_blocks
+        # The batch path reading blocks the scalar path filled.
+        assert np.array_equal(
+            scalar_model.sample_db_batch(links, hashes, tx, xs, ys, dists),
+            reference,
+        )
+
+    @settings(deadline=None)
     @given(topology(), st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
     def test_temporal_tx_with_hub(self, topo, time):
         (tx_x, tx_y), rxs, seed = topo
@@ -252,26 +282,6 @@ class TestFadingBatchParity:
         assert np.array_equal(batch, reference)
 
 
-class TestErrorModelBatchParity:
-    @given(
-        st.sampled_from(
-            ["dsss-1", "dsss-2", "dsss-5.5", "dsss-11", "ofdm-6", "ofdm-24", "ofdm-54"]
-        ),
-        st.lists(
-            st.floats(min_value=-60.0, max_value=60.0, allow_nan=False),
-            min_size=1,
-            max_size=40,
-        ),
-        st.integers(min_value=1, max_value=2000),
-    )
-    def test_frame_error_rate(self, rate_name, snrs, size):
-        rate = rate_by_name(rate_name)
-        arr = np.array(snrs)
-        batch = frame_error_rate_batch(rate, arr, size)
-        reference = np.array([frame_error_rate(rate, snr, size) for snr in snrs])
-        assert np.array_equal(batch, reference)
-
-
 def _full_channel(seed):
     return Channel(
         pathloss=LogDistancePathLoss(exponent=3.4, reference_loss_db=40.0),
@@ -286,6 +296,26 @@ def _full_channel(seed):
         fading=RicianFading(np.random.default_rng(seed + 2), k_factor=4.0),
         rng=np.random.default_rng(seed + 3),
     )
+
+
+def _scalar_pipeline(channel, tx, rxs, thresholds, headroom, tx_seq):
+    """The medium's scalar loop: cull, sample, sensitivity filter.
+
+    Returns ``(lane, sample)`` per kept receiver; receiver ``i`` has
+    node id ``i + 1``, the transmitter is node 0 at 17 dBm.
+    """
+    kept = []
+    for i, (x, y) in enumerate(rxs):
+        budget = channel.link_budget(tx, Vec2(x, y))
+        if 17.0 + 0.0 - budget[1] + headroom < thresholds[i]:
+            continue
+        sample = channel.sample(
+            0, i + 1, tx, Vec2(x, y), 17.0, 0.0,
+            time=0.25, tx_seq=tx_seq, budget=budget,
+        )
+        if sample.mean_rx_power_dbm >= thresholds[i]:
+            kept.append((i, sample))
+    return kept
 
 
 class TestChannelBatchParity:
@@ -344,19 +374,9 @@ class TestChannelBatchParity:
             channel, 0, rx_ids, tx, xs, ys, np.zeros(len(rxs)), thresholds,
             17.0, headroom, 0.25, tx_seq,
         )
-        kept = []
-        for i, (x, y) in enumerate(rxs):
-            budget = channel.link_budget(tx, Vec2(x, y))
-            reachable = 17.0 + 0.0 - budget[1] + headroom >= -105.0
-            if not reachable:
-                continue
-            sample = channel.sample(
-                0, rx_ids[i], tx, Vec2(x, y), 17.0, 0.0,
-                time=0.25, tx_seq=tx_seq, budget=budget,
-            )
-            if sample.mean_rx_power_dbm < -105.0:
-                continue
-            kept.append((i, sample))
+        kept = _scalar_pipeline(
+            channel, tx, rxs, thresholds.tolist(), headroom, tx_seq
+        )
         assert result.kept.tolist() == [i for i, _ in kept]
         assert result.rx_power_dbm.tolist() == [
             s.rx_power_dbm for _, s in kept
@@ -365,6 +385,94 @@ class TestChannelBatchParity:
             s.mean_rx_power_dbm for _, s in kept
         ]
         assert result.distance_m.tolist() == [s.distance_m for _, s in kept]
+
+
+class TestDrawCrossover:
+    """Explicit topologies on both sides of ``DRAW_CROSSOVER``.
+
+    Below it the kernel draws each survivor of the cull with the scalar
+    ``Channel.sample``; at and above it, in one vectorized pass.  Either
+    way its arrays equal the scalar pipeline run on an independent
+    channel of the same seed, so no memo is shared with the kernel.
+    """
+
+    @staticmethod
+    def _topology(reachable):
+        # Survivors 25–425 m from the transmitter (the far ones sit in
+        # the band where the sensitivity filter drops some), interleaved
+        # with lanes 20 km and more out that the reachability bound culls.
+        rxs = []
+        for i in range(reachable):
+            rxs.append((25.0 * (i + 1), 7.0 * (i % 3)))
+            rxs.append((20_000.0 + 2_000.0 * i, -40.0))
+        return rxs
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "reachable", [DRAW_CROSSOVER - 1, DRAW_CROSSOVER, DRAW_CROSSOVER + 1]
+    )
+    def test_broadcast_samples_equals_scalar_pipeline(
+        self, reachable, seed, monkeypatch
+    ):
+        rxs = self._topology(reachable)
+        tx = Vec2(-10.0, 3.0)
+        tx_seq = 4242 + seed
+        rx_ids = [i + 1 for i in range(len(rxs))]
+        xs = np.array([x for x, _ in rxs])
+        ys = np.array([y for _, y in rxs])
+        thresholds = np.full(len(rxs), -105.0)
+        headroom = 12.0
+        channel = _full_channel(seed)
+        losses = channel.link_budget_batch(tx, xs, ys)[1]
+        assert np.count_nonzero(17.0 - losses + headroom >= thresholds) == reachable
+
+        scalar_draws = []
+        scalar_sample = Channel.sample
+
+        def counted_sample(self, *args, **kwargs):
+            scalar_draws.append(args[1])
+            return scalar_sample(self, *args, **kwargs)
+
+        monkeypatch.setattr(Channel, "sample", counted_sample)
+        result = broadcast_samples(
+            channel, 0, rx_ids, tx, xs, ys, np.zeros(len(rxs)), thresholds,
+            17.0, headroom, 0.25, tx_seq,
+        )
+        monkeypatch.undo()
+        if reachable < DRAW_CROSSOVER:
+            assert scalar_draws == rx_ids[0::2]  # every survivor, in order
+        else:
+            assert scalar_draws == []
+
+        kept = _scalar_pipeline(
+            _full_channel(seed), tx, rxs, thresholds.tolist(), headroom, tx_seq
+        )
+        assert 0 < len(kept) < reachable  # the sensitivity filter bites
+        assert result.kept.dtype == np.intp
+        assert result.kept.tolist() == [i for i, _ in kept]
+        assert result.rx_power_dbm.tolist() == [s.rx_power_dbm for _, s in kept]
+        assert result.mean_rx_power_dbm.tolist() == [
+            s.mean_rx_power_dbm for _, s in kept
+        ]
+        assert result.distance_m.tolist() == [s.distance_m for _, s in kept]
+
+    def test_no_survivor_after_the_sensitivity_filter(self):
+        # Reachable (inside the 12 dB headroom) but below sensitivity on
+        # every draw: both branches return the shared empty batch.
+        tx = Vec2(0.0, 0.0)
+        for reachable in (DRAW_CROSSOVER - 1, DRAW_CROSSOVER):
+            xs = np.full(reachable, 560.0)
+            ys = np.arange(reachable, dtype=np.float64)
+            channel = Channel(
+                pathloss=LogDistancePathLoss(exponent=3.4, reference_loss_db=40.0)
+            )
+            result = broadcast_samples(
+                channel, 0, list(range(1, reachable + 1)), tx, xs, ys,
+                np.zeros(reachable), np.full(reachable, -105.0),
+                17.0, 12.0, 0.0, 1,
+            )
+            assert result.kept.tolist() == []
+            assert result.kept.dtype == np.intp
 
 
 class TestSimpleModelsBatch:
