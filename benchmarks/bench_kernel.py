@@ -16,6 +16,7 @@ from repro.geom import Vec2
 from repro.mac.frames import DataFrame, NodeId
 from repro.mac.interface import NetworkInterface
 from repro.mac.medium import Medium, _Arrival
+from repro.mobility.static import StaticMobility
 from repro.radio.channel import Channel, LinkSample
 from repro.radio.fading import RicianFading
 from repro.radio.modulation import rate_by_name
@@ -138,13 +139,12 @@ def _line_network(
     medium = Medium(sim, channel, fast_path=fast_path)
     ifaces = []
     for index in range(n_nodes):
-        position = Vec2(spacing_m * index, 0.0)
         ifaces.append(
             NetworkInterface(
                 sim,
                 medium,
                 NodeId(index + 1),
-                (lambda p: (lambda: p))(position),
+                StaticMobility(Vec2(spacing_m * index, 0.0)),
                 RadioConfig(),
                 sim.streams.get(f"mac-{index}"),
                 name=f"if{index + 1}",

@@ -113,11 +113,10 @@ def _trace_network(*, fast_path: bool, vehicles: int = 64, seed: int = 23):
                 sim,
                 medium,
                 NodeId(index + 1),
-                (lambda m: (lambda: m.position(sim.now)))(mobility),
+                mobility,
                 RadioConfig(),
                 sim.streams.get(f"mac-{index}"),
                 name=f"veh{index + 1}",
-                mobility=mobility,
             )
         )
     return sim, medium, ifaces

@@ -63,7 +63,7 @@ class CarqProtocol:
     sim:
         The simulation kernel.
     node:
-        The vehicle node (provides identity, position and the interface).
+        The vehicle node (provides identity, mobility and the interface).
     ap_ids:
         Identity (or identities, for multi-AP roads) of the access points
         whose frames define coverage.

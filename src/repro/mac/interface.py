@@ -20,6 +20,7 @@ from repro.geom import Vec2
 from repro.mac.frames import Frame, NodeId
 from repro.mac.medium import Medium, RxInfo
 from repro.mac.timing import timing_for
+from repro.mobility.base import MobilityModel
 from repro.radio.modulation import WifiRate
 from repro.radio.phy import RadioConfig
 from repro.sim import Simulator
@@ -36,36 +37,27 @@ class NetworkInterface:
         Simulation kernel and the shared medium.
     node_id:
         Identity used in frames and channel link keys.
-    position_fn:
-        Zero-argument callable returning the node's current position —
-        typically ``lambda: mobility.position(sim.now)``.
+    mobility:
+        The radio's only position source (a fixed mount or a
+        trajectory), queried at the simulator clock.  Its
+        :meth:`~repro.mobility.base.MobilityModel.max_speed_ms` feeds the
+        medium's speed bound.  Like ``config``, it is snapshotted by
+        ``Medium.attach`` and must not be reassigned afterwards.
     config:
         Static PHY parameters.
     rng:
         Stream for back-off draws (one per node).
     name:
         Human-readable label for diagnostics.
-    mobility:
-        The node's mobility model, when the owner has one.  When given,
-        it MUST be the exact model ``position_fn`` reports from (no
-        wrapping, no offsets): the medium's batch reception kernel
-        groups candidates whose models share a
-        :meth:`~repro.mobility.base.MobilityModel.batch_key` and queries
-        the models directly, bypassing ``position_fn`` — a diverging
-        pair would silently break the pinned batch/scalar bit-identity.
-        ``None`` (the default) makes every query go through
-        ``position_fn``.  Like ``config``, it is snapshotted by
-        ``Medium.attach`` and must not be reassigned afterwards.
     """
 
     __slots__ = (
         "_sim",
         "_medium",
         "node_id",
-        "_position_fn",
+        "mobility",
         "config",
         "_rng",
-        "mobility",
         "name",
         "_queue",
         "_transmitting",
@@ -83,19 +75,17 @@ class NetworkInterface:
         sim: Simulator,
         medium: Medium,
         node_id: NodeId,
-        position_fn: Callable[[], Vec2],
+        mobility: MobilityModel,
         config: RadioConfig,
         rng: np.random.Generator,
         name: str = "",
-        mobility=None,
     ) -> None:
         self._sim = sim
         self._medium = medium
         self.node_id = node_id
-        self._position_fn = position_fn
+        self.mobility = mobility
         self.config = config
         self._rng = rng
-        self.mobility = mobility
         self.name = name or f"iface-{node_id}"
 
         self._queue: deque[tuple[Frame, WifiRate]] = deque()
@@ -118,7 +108,7 @@ class NetworkInterface:
 
     def position(self) -> Vec2:
         """Current node position (delegates to the mobility model)."""
-        return self._position_fn()
+        return self.mobility.position(self._sim.now)
 
     # -- receive path ---------------------------------------------------------------
 

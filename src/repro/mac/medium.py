@@ -5,6 +5,11 @@ every transmission it samples the channel toward attached receivers,
 tracks concurrent arrivals for interference/SINR, enforces half-duplex
 radios, and reports outcomes to an optional trace collector.
 
+Every radio's position comes from its mobility model, and so does the
+medium's speed bound: the fastest attached model's
+:meth:`~repro.mobility.base.MobilityModel.max_speed_ms`, where a model
+that reports none makes the bound unbounded.
+
 Reception pipeline per (frame, receiver):
 
 0. skip the receiver lookup altogether while the transmitter is before
@@ -12,18 +17,18 @@ Reception pipeline per (frame, receiver):
    radio can be inside the transmitter's reach radius R (the neighbor
    index's radius for its power, plus a 1 m guard).  One scan over the
    other radios finds the nearest distance d; if d > R, no radio can
-   close the gap before ``now + (d - R) / (2 · max_speed_ms)``, since
-   both ends move at most ``max_speed_ms``.  Every link such a
+   close the gap before ``now + (d - R) / (2 · speed bound)``, since
+   both ends move at most that fast.  Every link such a
    broadcast would have looked at fails step 1's bound, and a culled
    link draws no randomness, so skipping them is exact.  The broadcast
    still takes its ``tx_seq``, emits its trace ``on_tx`` row and marks
    the transmitter's own arrivals half-duplex;
 1. bound the receiver's best-case mean power deterministically (path loss
    at current positions plus the configured shadowing headroom) and cull
-   the link if it can never clear ``noise_floor - sensitivity_margin`` —
-   no RNG is consumed, and because all stochastic channel draws are keyed
-   per ``(link, transmission)``, skipping a link cannot perturb any other
-   link's realisation;
+   the link if it can never clear the noise floor minus
+   :data:`SENSITIVITY_MARGIN_DB` — no RNG is consumed, and because all
+   stochastic channel draws are keyed per ``(link, transmission)``,
+   skipping a link cannot perturb any other link's realisation;
 2. sample path loss + shadowing + fading → received power;
 3. drop silently if the mean power is far below the noise floor (the
    receiver's hardware would never sync to the preamble — real sniffers
@@ -37,10 +42,10 @@ The candidate receivers themselves come from a lazily refreshed spatial
 grid (cell size = the maximum reachable radius implied by the path-loss
 model), so a broadcast costs O(reachable receivers), not O(attached
 interfaces).  A transmitter in reach of some radio rescans its horizon
-once per ``neighbor_refresh_s``, not per broadcast.  Candidate sets of
-at least ``batch_min_candidates`` receivers run step 1 as one NumPy pass
-through the batch channel kernel (:mod:`repro.radio.batch`), which then
-draws steps 2–3 vectorized only for at least
+once per :data:`NEIGHBOR_REFRESH_S`, not per broadcast.  Candidate sets
+of at least :data:`BATCH_MIN_CANDIDATES` receivers run step 1 as one
+NumPy pass through the batch channel kernel (:mod:`repro.radio.batch`),
+which then draws steps 2–3 vectorized only for at least
 :data:`~repro.radio.batch.DRAW_CROSSOVER` survivors and per lane below
 that; smaller candidate sets take the scalar per-receiver loop.  Every
 frame end classifies per arrival (step 5), on either path.
@@ -75,6 +80,22 @@ from repro.units import dbm_sum, dbm_sum_batch
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.geom import Vec2
     from repro.mac.interface import NetworkInterface
+
+#: Arrivals whose mean power is more than this below the receiver noise
+#: floor are discarded without bookkeeping (step 3), and links that can
+#: never clear that line are culled (step 1).
+SENSITIVITY_MARGIN_DB = 10.0
+#: Below this candidate count the scalar loop culls and samples each
+#: candidate itself (NumPy's fixed per-op overhead beats a short Python
+#: loop); at or above it the batch kernel's cull pass runs.  Purely a
+#: throughput constant: both paths produce the same arrivals.
+BATCH_MIN_CANDIDATES = 8
+#: Maximum age of the neighbor index snapshot before it is rebuilt, and
+#: the rescan period of a transmitter's horizon while it is in reach.
+NEIGHBOR_REFRESH_S = 1.0
+#: Below this interface count the index is skipped (a linear scan of so
+#: few radios is cheaper than grid bookkeeping).
+NEIGHBOR_INDEX_MIN_NODES = 16
 
 
 class LossCause(enum.Enum):
@@ -125,10 +146,10 @@ class _NeighborIndex:
     """Grid buckets of interface positions, refreshed lazily.
 
     Built from a snapshot of positions; queries widen their radius by the
-    maximum distance any node may have moved since the snapshot
-    (``max_speed_ms · age``), so the candidate set is always a superset
-    of the truly reachable receivers as long as no node outruns the
-    configured speed bound.
+    maximum distance any node may have moved since the snapshot (the
+    medium's speed bound times the snapshot's age), so the candidate set
+    is always a superset of the truly reachable receivers.  The medium
+    skips the index while the bound is unbounded.
     """
 
     __slots__ = ("cell_m", "built_at", "version", "_buckets")
@@ -190,26 +211,18 @@ class Medium:
     trace:
         Optional collector with ``on_tx(...)`` / ``on_rx(...)`` methods
         (see :mod:`repro.trace.capture`).
-    sensitivity_margin_db:
-        Arrivals whose mean power is more than this below the receiver
-        noise floor are discarded without bookkeeping.
     fast_path:
         When true (default), the production path: broadcasts before
         their transmitter's reach horizon skip reception, receivers are
         found through the spatial neighbor index, hopeless links are culled
         before sampling, and candidate sets of at least
-        ``batch_min_candidates`` are culled by the batch kernel
+        :data:`BATCH_MIN_CANDIDATES` are culled by the batch kernel
         (:mod:`repro.radio.batch`) — one NumPy pass over the whole set
         instead of a per-receiver Python loop.  When false, the
         exhaustive scalar oracle: every attached interface is bounded and
         sampled by the per-receiver reference loop.  The two are
         bit-identical by construction (keyed draws + pinned float64
         semantics); the oracle exists so tests can prove it.
-    batch_min_candidates:
-        Below this candidate count the scalar loop culls and samples
-        each candidate itself (NumPy's fixed per-op overhead beats a
-        short Python loop), so the batch kernel's cull pass steps aside.
-        Purely a throughput knob — both paths produce the same arrivals.
     cull_headroom_db:
         Shadowing boost granted to a link before it is declared
         unreachable: a receiver is culled when ``tx_power + rx_gain -
@@ -223,36 +236,25 @@ class Medium:
         sits in the 12 dB band *below* the sensitivity threshold need a
         shadowing boost exceeding the headroom to matter, which for a
         composite σ of ~7 dB happens on a few percent of edge-of-range
-        frames — all at least ``sensitivity_margin_db`` under the noise
-        floor, so they can never deliver and are lost only as potential
-        weak interferers and trace rows.  Scenarios that need the exact
-        tail set the headroom knob (``RadioEnvironment.cull_headroom_db``)
-        higher or pass ``None``.
-    neighbor_refresh_s:
-        Maximum age of the neighbor index snapshot before it is rebuilt.
-    max_speed_ms:
-        Upper bound on node speed, used to widen stale-index queries and
-        to time reach horizons, so a moving receiver can never be missed.
-        :meth:`attach` raises it to the attached mobility model's
-        :meth:`~repro.mobility.base.MobilityModel.max_speed_ms`; radios
-        with only a ``position_fn`` must stay within the configured
-        value, so raise it for faster (or teleporting) ones.
-    neighbor_index_min_nodes:
-        Below this interface count the index is skipped (a linear scan of
-        so few nodes is cheaper than grid bookkeeping).
+        frames — all at least :data:`SENSITIVITY_MARGIN_DB` under the
+        noise floor, so they can never deliver and are lost only as
+        potential weak interferers and trace rows.  Scenarios that need
+        the exact tail set the headroom knob
+        (``RadioEnvironment.cull_headroom_db``) higher or pass ``None``.
+
+    The speed bound that widens stale-index queries and times reach
+    horizons comes from the radios: it starts at 0, and :meth:`attach`
+    raises it to each attached model's top speed (unbounded for a model
+    that reports none).
     """
 
     __slots__ = (
         "_sim",
         "_channel",
         "_trace",
-        "_sensitivity_margin_db",
         "_fast_path",
-        "_batch_min_candidates",
         "_cull_headroom_db",
-        "_neighbor_refresh_s",
         "_max_speed_ms",
-        "_neighbor_index_min_nodes",
         "_scratch",
         "_interfaces",
         "_ongoing",
@@ -274,28 +276,20 @@ class Medium:
         channel: Channel,
         *,
         trace: typing.Any | None = None,
-        sensitivity_margin_db: float = 10.0,
         fast_path: bool = True,
-        batch_min_candidates: int = 8,
         cull_headroom_db: float | None = 12.0,
-        neighbor_refresh_s: float = 1.0,
-        max_speed_ms: float = 100.0,
-        neighbor_index_min_nodes: int = 16,
     ) -> None:
         self._sim = sim
         self._channel = channel
         self._trace = trace
-        self._sensitivity_margin_db = sensitivity_margin_db
         self._fast_path = fast_path
-        self._batch_min_candidates = batch_min_candidates
         # Reusable lane-gather buffers of the batch kernel.
         self._scratch = LaneScratch()
         if cull_headroom_db is None:
             cull_headroom_db = channel.shadow_headroom_db()
         self._cull_headroom_db = cull_headroom_db
-        self._neighbor_refresh_s = neighbor_refresh_s
-        self._max_speed_ms = max_speed_ms
-        self._neighbor_index_min_nodes = neighbor_index_min_nodes
+        # Top speed of the fastest attached model (math.inf: unbounded).
+        self._max_speed_ms = 0.0
         self._interfaces: list[NetworkInterface] = []
         self._ongoing: dict[NetworkInterface, list[_Arrival]] = {}
         # Attach-order rank per interface, cached off the hot path.
@@ -325,30 +319,6 @@ class Medium:
         # transmitter in reach keeps the full path until its next scan.
         self._horizons: dict[NetworkInterface, tuple[float, bool]] = {}
 
-    @property
-    def channel(self) -> Channel:
-        """The propagation model in use."""
-        return self._channel
-
-    @property
-    def trace(self) -> typing.Any | None:
-        """The attached trace collector, if any."""
-        return self._trace
-
-    @property
-    def fast_path(self) -> bool:
-        """Whether reception runs the production path (false: the oracle)."""
-        return self._fast_path
-
-    @property
-    def cull_headroom_db(self) -> float:
-        """Shadowing headroom granted by the reachability bound."""
-        return self._cull_headroom_db
-
-    def set_trace(self, trace: typing.Any | None) -> None:
-        """Install or replace the trace collector."""
-        self._trace = trace
-
     def attach(self, iface: "NetworkInterface") -> None:
         """Register an interface.  Each interface joins exactly one medium.
 
@@ -356,34 +326,31 @@ class Medium:
         (thresholds, antenna gain, mobility batch group) and must not be
         reassigned afterwards — both reception paths read the snapshot,
         so a mid-run swap would silently keep the attach-time values.
-        Positions stay live either way (``position_fn`` / the mobility
-        model are queried per broadcast).  The medium's speed bound rises
-        to the mobility model's top speed if that is higher; it is never
-        lowered.
+        Positions stay live: the model is queried per broadcast.  The
+        speed bound rises to the model's top speed if that is higher
+        (unbounded if the model reports none); it is never lowered.
+        Every attach rebuilds the neighbor index and drops every reach
+        horizon.
         """
         if iface in self._ongoing:
             raise MacError(f"interface {iface.name!r} already attached")
         self._attach_rank[iface] = len(self._interfaces)
         self._interfaces.append(iface)
         self._ongoing[iface] = []
-        threshold = iface.config.noise_floor_dbm - self._sensitivity_margin_db
+        threshold = iface.config.noise_floor_dbm - SENSITIVITY_MARGIN_DB
         mobility = iface.mobility
         self._rx_static[iface] = (
             iface.node_id,
             iface.config.antenna_gain_db,
             threshold,
-            mobility.batch_key() if mobility is not None else None,
+            mobility.batch_key(),
             mobility,
         )
-        if mobility is not None:
-            top_speed = mobility.max_speed_ms()
-            if top_speed is not None and top_speed > self._max_speed_ms:
-                self._max_speed_ms = top_speed
-        self.invalidate_neighbors()
-
-    def invalidate_neighbors(self) -> None:
-        """Force a neighbor-index rebuild and drop every reach horizon
-        (topology or mobility jump)."""
+        top_speed = mobility.max_speed_ms()
+        self._max_speed_ms = max(
+            self._max_speed_ms, math.inf if top_speed is None else top_speed
+        )
+        # The topology changed: rebuild the index, rescan every horizon.
         self._index_version += 1
         self._reach_radius_m = None
         self._tx_radius_m.clear()
@@ -421,9 +388,10 @@ class Medium:
         """Rescan *tx_iface*'s reach horizon: ``(valid until, quiet)``.
 
         Quiet: the nearest other radio is at d > R, so none can enter
-        reach before ``now + (d - R) / (2 · max_speed_ms)``.  In reach:
-        the next scan waits ``neighbor_refresh_s``.  An infinite R is
-        never quiet.
+        reach before ``now + (d - R) / (2 · speed bound)``; under an
+        unbounded speed that is ``now``, quiet for this broadcast only.
+        In reach: the next scan waits :data:`NEIGHBOR_REFRESH_S`.  An
+        infinite R is never quiet.
         """
         # The 1 m guard absorbs rounding in the closed-form range inverse.
         reach = self._tx_reach_m(tx_iface.config.tx_power_dbm) + 1.0
@@ -437,13 +405,15 @@ class Medium:
                         break
         if nearest > reach:
             closing_speed = 2.0 * self._max_speed_ms
+            # Alone on the air (d = ∞) or among radios that never move:
+            # quiet until the next attach, which drops every horizon.
             until = (
                 now + (nearest - reach) / closing_speed
-                if closing_speed > 0.0 else math.inf
+                if closing_speed > 0.0 and nearest < math.inf else math.inf
             )
             horizon = (until, True)
         else:
-            horizon = (now + self._neighbor_refresh_s, False)
+            horizon = (now + NEIGHBOR_REFRESH_S, False)
         self._horizons[tx_iface] = horizon
         return horizon
 
@@ -451,12 +421,15 @@ class Medium:
         """Receivers that could possibly pass the reachability bound.
 
         Returns a superset of the bound-passing set, in attach order (the
-        per-pair bound in :meth:`transmit` does the exact cull).
+        per-pair bound in :meth:`transmit` does the exact cull).  Under an
+        unbounded speed no stale snapshot bounds anyone, so every
+        interface is a candidate.
         """
         interfaces = self._interfaces
         if (
             not self._fast_path
-            or len(interfaces) < self._neighbor_index_min_nodes
+            or len(interfaces) < NEIGHBOR_INDEX_MIN_NODES
+            or self._max_speed_ms == math.inf
         ):
             return interfaces
         # Grid cells are a quarter of the strongest radio's reach (a
@@ -478,7 +451,7 @@ class Medium:
         if (
             index is None
             or index.version != self._index_version
-            or now - index.built_at > self._neighbor_refresh_s
+            or now - index.built_at > NEIGHBOR_REFRESH_S
         ):
             index = self._index = _NeighborIndex(
                 interfaces, cell, now, self._index_version
@@ -535,7 +508,7 @@ class Medium:
         tx_id = tx_iface.node_id
         candidates = self._candidates(tx_iface, tx_pos)
         finishing: list[tuple[NetworkInterface, _Arrival]] = []
-        use_batch = fast and len(candidates) >= self._batch_min_candidates
+        use_batch = fast and len(candidates) >= BATCH_MIN_CANDIDATES
         spans = self._spans
         if spans is not None:
             spans.begin(
@@ -645,7 +618,7 @@ class Medium:
         rx_ids: list[typing.Hashable] = []
         # Mobility batch groups: candidates whose models share a batch
         # key get their positions from one vectorized query (index list,
-        # model list); everyone else queries position_fn per candidate.
+        # model list); everyone else queries its own model per candidate.
         groups: dict[object, tuple[list[int], list[object]]] = {}
         scalar_pos: list[int] = []
         index = 0

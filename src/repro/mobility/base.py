@@ -23,21 +23,6 @@ class MobilityModel(abc.ABC):
     def position(self, time: float) -> Vec2:
         """Position at simulated *time* seconds."""
 
-    def positions_at(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batch :meth:`position`: ``(xs, ys)`` over a whole time array.
-
-        Must be bit-identical to mapping the scalar method (this default
-        simply does that); track-based models vectorize through
-        :meth:`repro.geom.Polyline.points_at`.
-        """
-        xs = np.empty(times.shape[0])
-        ys = np.empty(times.shape[0])
-        for i, time in enumerate(times.tolist()):
-            pos = self.position(time)
-            xs[i] = pos.x
-            ys[i] = pos.y
-        return xs, ys
-
     def batch_key(self):
         """Grouping key for cross-model batched queries, or ``None``.
 
@@ -61,8 +46,10 @@ class MobilityModel(abc.ABC):
         """Upper bound on this model's speed [m/s], or ``None`` if unknown.
 
         The medium raises its speed bound to the fastest attached model
-        (see :meth:`repro.mac.medium.Medium.attach`): candidate discovery
-        and the reach horizon are exact only while no radio outruns it.
+        (see :meth:`repro.mac.medium.Medium.attach`), and counts ``None``
+        as unbounded: candidate discovery and the reach horizon then fall
+        back to scanning every radio per broadcast, which stays exact for
+        any motion.
         """
         return None
 
@@ -122,22 +109,6 @@ class TraceMobility(MobilityModel):
 
     def position(self, time: float) -> Vec2:
         return self.track.point_at(self.arc_length(time))
-
-    def arc_lengths(self, times: np.ndarray) -> np.ndarray:
-        """Batch :meth:`arc_length` (same interpolation, elementwise)."""
-        time_grid = np.array(self._times)
-        arc_grid = np.array(self._arcs)
-        idx = np.searchsorted(time_grid, times, side="right") - 1
-        idx = np.clip(idx, 0, len(self._times) - 2)
-        t0 = time_grid[idx]
-        t1 = time_grid[idx + 1]
-        frac = (times - t0) / (t1 - t0)
-        arcs = arc_grid[idx] + (arc_grid[idx + 1] - arc_grid[idx]) * frac
-        arcs = np.where(times <= self._times[0], self._arcs[0], arcs)
-        return np.where(times >= self._times[-1], self._arcs[-1], arcs)
-
-    def positions_at(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.track.points_at(self.arc_lengths(times))
 
     def batch_key(self):
         # Traces on one track batch their polyline projection; the

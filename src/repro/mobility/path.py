@@ -56,13 +56,6 @@ class PathMobility(MobilityModel):
     def position(self, time: float) -> Vec2:
         return self.track.point_at(self.arc_length(time))
 
-    def positions_at(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        elapsed = np.maximum(times - self._start_time, 0.0)
-        s = self._start_arc + self._speed * elapsed
-        if not self.track.closed:
-            s = np.minimum(s, self.track.length)
-        return self.track.points_at(s)
-
     def batch_key(self):
         # All constant-speed models on one track evaluate together: the
         # arc formula vectorizes over per-model parameters and the track

@@ -17,17 +17,10 @@ class StaticMobility(MobilityModel):
     def position(self, time: float) -> Vec2:
         return self._position
 
-    def positions_at(self, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = times.shape[0]
-        return (
-            np.full(n, self._position.x),
-            np.full(n, self._position.y),
-        )
-
     def batch_key(self):
         # All static mounts evaluate together: one array gather replaces
-        # a position_fn call chain per candidate (multi-AP corridors
-        # carry dozens of infostations per broadcast).
+        # a position() call per candidate (multi-AP corridors carry
+        # dozens of infostations per broadcast).
         return ("static",)
 
     @staticmethod

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geom import Vec2
 from repro.mac.frames import NodeId
 from repro.mac.interface import NetworkInterface
 from repro.mac.medium import Medium
@@ -55,19 +54,8 @@ class Node:
             reg.counter("net.nodes_built").value += 1
         self.mobility = mobility
         self.iface = NetworkInterface(
-            sim,
-            medium,
-            node_id,
-            self.position,
-            radio,
-            rng,
-            name=f"{self.name}.iface",
-            mobility=mobility,
+            sim, medium, node_id, mobility, radio, rng, name=f"{self.name}.iface"
         )
-
-    def position(self) -> Vec2:
-        """Current position at the simulator clock."""
-        return self.mobility.position(self.sim.now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"

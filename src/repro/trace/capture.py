@@ -13,8 +13,7 @@ from repro.trace.records import RxRecord, TxRecord
 class TraceCollector:
     """Records every TX and per-receiver RX event of a medium.
 
-    Install via ``Medium(..., trace=collector)`` or
-    :meth:`~repro.mac.medium.Medium.set_trace`.
+    Install via ``Medium(..., trace=collector)``.
 
     The query helpers below are the post-processing primitives the paper's
     evaluation needs: which data packets of which flow were transmitted,

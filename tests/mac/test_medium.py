@@ -9,7 +9,7 @@ from repro.mac.frames import DataFrame, NodeId
 from repro.mac.interface import NetworkInterface
 from repro.mac.medium import LossCause, Medium
 from repro.mac.timing import frame_airtime
-from repro.mobility.base import TraceMobility
+from repro.mobility.base import MobilityModel, TraceMobility
 from repro.mobility.path import PathMobility
 from repro.mobility.static import StaticMobility
 from repro.radio.channel import Channel
@@ -22,28 +22,39 @@ from repro.trace.capture import TraceCollector
 RATE = rate_by_name("dsss-1")
 
 
-def make_net(positions, *, trace=None, seed=0, fast_path=True):
-    """A sim + medium + one interface per given position."""
-    sim = Simulator(seed=seed)
-    channel = Channel(
+def plain_channel(sim):
+    """Log-distance path loss only: no shadowing, no fading."""
+    return Channel(
         pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
         rng=sim.streams.get("channel"),
     )
-    medium = Medium(sim, channel, trace=trace, fast_path=fast_path)
-    ifaces = []
-    for index, position in enumerate(positions):
-        ifaces.append(
-            NetworkInterface(
-                sim,
-                medium,
-                NodeId(index + 1),
-                (lambda p: (lambda: p))(position),
-                RadioConfig(),
-                sim.streams.get(f"mac-{index}"),
-                name=f"if{index + 1}",
-            )
+
+
+def make_net(models, *, trace=None, seed=0, fast_path=True, channel=plain_channel):
+    """A sim + a medium over ``channel(sim)`` + :func:`attach_radios`."""
+    sim = Simulator(seed=seed)
+    medium = Medium(sim, channel(sim), trace=trace, fast_path=fast_path)
+    return sim, medium, attach_radios(sim, medium, models)
+
+
+def attach_radios(sim, medium, models, *, first=0):
+    """One interface per mobility model; a bare position is a static mount.
+
+    Radio ``first + i`` gets node id ``first + i + 1`` and its own
+    back-off stream.
+    """
+    return [
+        NetworkInterface(
+            sim,
+            medium,
+            NodeId(first + i + 1),
+            model if isinstance(model, MobilityModel) else StaticMobility(model),
+            RadioConfig(),
+            sim.streams.get(f"mac-{first + i}"),
+            name=f"if{first + i + 1}",
         )
-    return sim, medium, ifaces
+        for i, model in enumerate(models)
+    ]
 
 
 def data_frame(src, dst, seq=1, size=500):
@@ -248,27 +259,11 @@ class TestReceptionFastPath:
 
     def run_grid(self, *, fast_path):
         """A 30-node line network: one broadcast from the west end."""
-        sim = Simulator(seed=7)
-        channel = Channel(
-            pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
-            rng=sim.streams.get("channel"),
-        )
         trace = TraceCollector()
-        medium = Medium(sim, channel, trace=trace, fast_path=fast_path)
-        ifaces = []
-        for index in range(30):
-            position = Vec2(60.0 * index, 0.0)
-            ifaces.append(
-                NetworkInterface(
-                    sim,
-                    medium,
-                    NodeId(index + 1),
-                    (lambda p: (lambda: p))(position),
-                    RadioConfig(),
-                    sim.streams.get(f"mac-{index}"),
-                    name=f"if{index + 1}",
-                )
-            )
+        sim, _, ifaces = make_net(
+            [Vec2(60.0 * index, 0.0) for index in range(30)],
+            trace=trace, seed=7, fast_path=fast_path,
+        )
         ifaces[0].send(data_frame(ifaces[0].node_id, ifaces[-1].node_id))
         sim.run()
         return [(r.node, r.cause, r.snr_db, r.rx_power_dbm) for r in trace.rx_records]
@@ -286,29 +281,11 @@ class TestReceptionFastPath:
         """Removing a distant interface must not change near outcomes."""
 
         def run(with_far_node):
-            sim = Simulator(seed=3)
-            channel = Channel(
-                pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
-                rng=sim.streams.get("channel"),
-            )
             trace = TraceCollector()
-            medium = Medium(sim, channel, trace=trace)
             positions = [Vec2(0, 0), Vec2(30, 0)]
             if with_far_node:
                 positions.append(Vec2(80_000, 0))
-            ifaces = []
-            for index, position in enumerate(positions):
-                ifaces.append(
-                    NetworkInterface(
-                        sim,
-                        medium,
-                        NodeId(index + 1),
-                        (lambda p: (lambda: p))(position),
-                        RadioConfig(),
-                        sim.streams.get(f"mac-{index}"),
-                        name=f"if{index + 1}",
-                    )
-                )
+            sim, _, ifaces = make_net(positions, trace=trace, seed=3)
             ifaces[0].send(data_frame(ifaces[0].node_id, ifaces[1].node_id))
             sim.run()
             return [(r.node, r.snr_db, r.rx_power_dbm) for r in trace.rx_records]
@@ -320,7 +297,6 @@ class TestBatchKernel:
     """The production path (batch kernel on) vs the scalar oracle."""
 
     def _storm_records(self, *, fast_path, positions=None, broadcasts=120):
-        from repro.mac.frames import NodeId
         from repro.radio.fading import RicianFading
         from repro.radio.shadowing import (
             CompositeShadowing,
@@ -328,46 +304,37 @@ class TestBatchKernel:
             TemporalTxShadowing,
         )
 
-        sim = Simulator(seed=42)
-        channel = Channel(
-            pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
-            shadowing=CompositeShadowing(
-                [
-                    GudmundsonShadowing(
-                        sim.streams.get("shadowing"),
-                        sigma_db=4.0,
-                        decorrelation_distance_m=20.0,
-                    ),
-                    TemporalTxShadowing(
-                        sim.streams.get("shadowing-common"),
-                        sigma_db=3.0,
-                        tau_s=2.0,
-                        hub=NodeId(1),
-                    ),
-                ]
-            ),
-            fading=RicianFading(sim.streams.get("fading"), k_factor=4.0),
-            rng=sim.streams.get("channel"),
-        )
+        def storm_channel(sim):
+            return Channel(
+                pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
+                shadowing=CompositeShadowing(
+                    [
+                        GudmundsonShadowing(
+                            sim.streams.get("shadowing"),
+                            sigma_db=4.0,
+                            decorrelation_distance_m=20.0,
+                        ),
+                        TemporalTxShadowing(
+                            sim.streams.get("shadowing-common"),
+                            sigma_db=3.0,
+                            tau_s=2.0,
+                            hub=NodeId(1),
+                        ),
+                    ]
+                ),
+                fading=RicianFading(sim.streams.get("fading"), k_factor=4.0),
+                rng=sim.streams.get("channel"),
+            )
+
         trace = TraceCollector()
-        medium = Medium(sim, channel, trace=trace, fast_path=fast_path)
         rate = rate_by_name("dsss-11")
         if positions is None:
             positions = [Vec2(55.0 * i, (i % 3) * 7.0) for i in range(30)]
         n_nodes = len(positions)
-        ifaces = []
-        for i, pos in enumerate(positions):
-            ifaces.append(
-                NetworkInterface(
-                    sim,
-                    medium,
-                    NodeId(i + 1),
-                    (lambda p: (lambda: p))(pos),
-                    RadioConfig(),
-                    sim.streams.get(f"mac-{i}"),
-                    name=f"if{i + 1}",
-                )
-            )
+        sim, medium, ifaces = make_net(
+            positions, trace=trace, seed=42, fast_path=fast_path,
+            channel=storm_channel,
+        )
         for k in range(broadcasts):
             tx = ifaces[k % n_nodes]
             frame = data_frame(tx.node_id, ifaces[(k + 1) % n_nodes].node_id, seq=k)
@@ -422,7 +389,7 @@ class TestBatchKernel:
         assert production == self._storm_records(fast_path=False, positions=pairs)
 
     def test_small_candidate_sets_use_scalar_loop(self):
-        # Below batch_min_candidates the scalar loop runs — delivery
+        # Below BATCH_MIN_CANDIDATES the scalar loop runs — delivery
         # still works end to end.
         trace = TraceCollector()
         sim, medium, ifaces = make_net([Vec2(0, 0), Vec2(30, 0)], trace=trace)
@@ -433,10 +400,9 @@ class TestBatchKernel:
     def test_batch_frame_end_actually_delivers_to_interfaces(self):
         """Regression: dense frame-ends must reach ``iface.deliver``.
 
-        The batch frame-end path (``len(finishing) ≥
-        batch_min_candidates``) classifies via trace-visible records,
-        so a bug that drops the *delivery dispatch* while still writing
-        trace rows is invisible to the record-comparison pins above.
+        A frame end classifies via trace-visible records, so a bug that
+        drops the *delivery dispatch* while still writing trace rows is
+        invisible to the record-comparison pins above.
         Pin ``frames_received`` — the interface-side evidence — equal
         between the production path and the oracle on a dense topology.
         """
@@ -465,54 +431,42 @@ class TestBatchKernel:
         # The interface counters must agree with the trace's verdicts.
         assert sum(batch_counts) == batch_rows
 
-    def test_batched_mobility_groups_match_per_candidate_queries(self):
-        # Interfaces built with a shared-track PathMobility go through
-        # the grouped position query; result must equal the plain
-        # position_fn world bit for bit.
-        from repro.geom import Polyline
-        from repro.mobility.path import PathMobility
-
-        def records(with_mobility):
-            sim = Simulator(seed=3)
-            channel = Channel(
-                pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
-                rng=sim.streams.get("channel"),
-            )
+    def test_batched_mobility_groups_match_per_candidate_queries(self, monkeypatch):
+        # Radios on one shared-track PathMobility: the production batch
+        # gather positions them with one grouped query; the oracle
+        # queries each model per candidate.  Records must match bit for
+        # bit.
+        def records(fast_path):
             trace = TraceCollector()
-            medium = Medium(sim, channel, trace=trace, batch_min_candidates=2)
             track = Polyline([Vec2(0, 0), Vec2(8000, 0)])
+            sim, medium, ifaces = make_net(
+                [
+                    PathMobility(track, 10.0 + i, start_arc_length=60.0 * i)
+                    for i in range(12)
+                ],
+                trace=trace, seed=3, fast_path=fast_path,
+            )
             rate = rate_by_name("dsss-11")
-            ifaces = []
-            for i in range(12):
-                mobility = PathMobility(
-                    track, 10.0 + i, start_arc_length=60.0 * i
-                )
-                ifaces.append(
-                    NetworkInterface(
-                        sim,
-                        medium,
-                        NodeId(i + 1),
-                        (lambda m: (lambda: m.position(sim.now)))(mobility),
-                        RadioConfig(),
-                        sim.streams.get(f"mac-{i}"),
-                        name=f"if{i + 1}",
-                        mobility=mobility if with_mobility else None,
-                    )
-                )
             for k in range(40):
                 tx = ifaces[k % 12]
                 frame = data_frame(tx.node_id, ifaces[(k + 1) % 12].node_id, seq=k)
                 sim.schedule(k * 2.3e-3, medium.transmit, tx, frame, rate)
             sim.run()
-            return [
-                (r.time, int(r.node), r.frame.seq, r.cause, r.snr_db, r.rx_power_dbm)
-                for r in trace.rx_records
-            ]
+            return _rx_rows(trace)
 
+        group_sizes = []
+        grouped_query = PathMobility.positions_at_time
+
+        def spy(models, time):
+            group_sizes.append(len(models))
+            return grouped_query(models, time)
+
+        monkeypatch.setattr(PathMobility, "positions_at_time", staticmethod(spy))
         grouped = records(True)
-        scalar = records(False)
+        monkeypatch.undo()
+        assert group_sizes and min(group_sizes) == 11  # every pass grouped
         assert grouped
-        assert grouped == scalar
+        assert grouped == records(False)
 
     def test_same_end_broadcasts_deliver_in_tx_order(self):
         """Broadcasts that end at the same instant deliver in tx order
@@ -522,22 +476,10 @@ class TestBatchKernel:
         """
 
         def delivery_log(fast_path):
-            sim = Simulator(seed=5)
-            channel = Channel(
-                pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
-                rng=sim.streams.get("channel"),
+            sim, medium, ifaces = make_net(
+                [Vec2(30.0 * i, 0.0) for i in range(9)], seed=5,
+                fast_path=fast_path,
             )
-            medium = Medium(sim, channel, fast_path=fast_path)
-            ifaces = []
-            for i in range(9):
-                pos = Vec2(30.0 * i, 0.0)
-                ifaces.append(
-                    NetworkInterface(
-                        sim, medium, NodeId(i + 1),
-                        (lambda p: (lambda: p))(pos), RadioConfig(),
-                        sim.streams.get(f"mac-{i}"), name=f"if{i + 1}",
-                    )
-                )
             log = []
             for iface in ifaces:
                 iface.add_receive_callback(
@@ -571,23 +513,10 @@ class TestBatchKernel:
 
         def causes(fast_path):
             trace = TraceCollector()
-            sim = Simulator(seed=2)
-            channel = Channel(
-                pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
-                rng=sim.streams.get("channel"),
+            sim, medium, (a, b, c) = make_net(
+                [Vec2(25.0 * i, 0.0) for i in range(3)], trace=trace, seed=2,
+                fast_path=fast_path,
             )
-            medium = Medium(sim, channel, trace=trace, fast_path=fast_path)
-            ifaces = []
-            for i in range(3):
-                pos = Vec2(25.0 * i, 0.0)
-                ifaces.append(
-                    NetworkInterface(
-                        sim, medium, NodeId(i + 1),
-                        (lambda p: (lambda: p))(pos), RadioConfig(),
-                        sim.streams.get(f"mac-{i}"), name=f"if{i + 1}",
-                    )
-                )
-            a, b, c = ifaces
             sim.schedule(
                 0.0, medium.transmit, a, data_frame(a.node_id, b.node_id, 1), RATE
             )
@@ -622,24 +551,18 @@ class TestBatchKernel:
                        rx_gain_db=0.0, time=0.0, *, tx_seq=None, budget=None):
                 return LinkSample(-60.0, -60.0, 10.0)
 
-        def records(fast_path):
-            sim = Simulator(seed=9)
-            channel = ScriptedChannel(
+        def scripted_channel(sim):
+            return ScriptedChannel(
                 pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
                 rng=sim.streams.get("channel"),
             )
+
+        def records(fast_path):
             trace = TraceCollector()
-            medium = Medium(sim, channel, trace=trace, fast_path=fast_path)
-            ifaces = []
-            for i in range(n_radios):
-                pos = Vec2(10.0 * i, 0.0)
-                ifaces.append(
-                    NetworkInterface(
-                        sim, medium, NodeId(i + 1),
-                        (lambda p: (lambda: p))(pos), RadioConfig(),
-                        sim.streams.get(f"mac-{i}"), name=f"if{i + 1}",
-                    )
-                )
+            sim, medium, ifaces = make_net(
+                [Vec2(10.0 * i, 0.0) for i in range(n_radios)], trace=trace,
+                seed=9, fast_path=fast_path, channel=scripted_channel,
+            )
             for k in range(20):
                 tx = ifaces[k % n_radios]
                 frame = data_frame(
@@ -672,20 +595,6 @@ class TestBatchKernel:
         assert batched == scalar
 
 
-def _mobile_iface(sim, medium, index, mobility):
-    """An interface whose position (and speed bound) come from *mobility*."""
-    return NetworkInterface(
-        sim,
-        medium,
-        NodeId(index + 1),
-        (lambda m: (lambda: m.position(sim.now)))(mobility),
-        RadioConfig(),
-        sim.streams.get(f"mac-{index}"),
-        name=f"if{index + 1}",
-        mobility=mobility,
-    )
-
-
 def _rx_rows(trace):
     return [
         (r.time, int(r.node), r.frame.seq, r.cause, r.snr_db, r.rx_power_dbm)
@@ -698,14 +607,15 @@ class TestReachHorizon:
     the receiver lookup, and stay bit-identical to the oracle."""
 
     def _approach(self, *, fast_path):
-        """A lone static beacon; a receiver drives in from 5 km at the
-        100 m/s speed bound.  Returns (rx rows, unheard broadcasts)."""
+        """A lone static beacon; a receiver drives in from 5 km at
+        100 m/s, the speed bound.  Returns (rx rows, unheard broadcasts)."""
         with obs.instrumented():
             trace = TraceCollector()
-            sim, medium, _ = make_net([], trace=trace, seed=4, fast_path=fast_path)
-            beacon = _mobile_iface(sim, medium, 0, StaticMobility(Vec2(0, 0)))
             road = Polyline([Vec2(5000, 0), Vec2(20, 0)])
-            _mobile_iface(sim, medium, 1, PathMobility(road, 100.0))
+            sim, medium, (beacon, _) = make_net(
+                [Vec2(0, 0), PathMobility(road, 100.0)], trace=trace, seed=4,
+                fast_path=fast_path,
+            )
             for k in range(550):
                 frame = data_frame(beacon.node_id, NodeId(2), seq=k)
                 sim.schedule(k * 0.1, medium.transmit, beacon, frame, RATE)
@@ -734,11 +644,7 @@ class TestReachHorizon:
                     frame = data_frame(beacon.node_id, NodeId(2), seq=k)
                     sim.schedule(k * 0.1, medium.transmit, beacon, frame, RATE)
                 sim.schedule(
-                    1.02,
-                    lambda: NetworkInterface(
-                        sim, medium, NodeId(2), lambda: Vec2(20, 0),
-                        RadioConfig(), sim.streams.get("mac-late"), name="late",
-                    ),
+                    1.02, lambda: attach_radios(sim, medium, [Vec2(20, 0)], first=1)
                 )
                 sim.run()
                 unheard = obs.registry().counter("medium.unheard_broadcasts").value
@@ -752,25 +658,35 @@ class TestReachHorizon:
         assert production == run(False)[0]
 
 
+class _HiddenTopSpeed(MobilityModel):
+    """Moves exactly like *inner* but reports no top speed (``None``)."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def position(self, time):
+        return self._inner.position(time)
+
+
 class TestSpeedBoundFromMobility:
-    """The medium's speed bound rises to the attached models' top speed.
+    """The medium's speed bound comes from the attached models.
 
     A recorded 6 km leg in 0.5 s (12 km/s) passes a line of static
-    beacons.  Under the configured 100 m/s bound, a stale neighbor index
-    (17 radios) or a reach horizon (2 radios) would miss the mover.
+    beacons.  Under a bound below that, such as a fixed 100 m/s guess, a
+    stale neighbor index (17 radios) or a reach horizon (2 radios) would
+    miss the mover.  A model that hides its top speed counts as
+    unbounded, so it cannot be missed either.
     """
 
-    def _pass_records(self, n_static, *, fast_path):
+    def _pass_records(self, n_static, hide_speed, *, fast_path):
         trace = TraceCollector()
-        sim, medium, _ = make_net([], trace=trace, seed=6, fast_path=fast_path)
         xs = [1500.0] if n_static == 1 else [200.0 * i for i in range(n_static)]
-        beacons = [
-            _mobile_iface(sim, medium, i, StaticMobility(Vec2(x, 0)))
-            for i, x in enumerate(xs)
-        ]
         road = Polyline([Vec2(-1500, 30), Vec2(4500, 30)])
         leg = TraceMobility(road, [0.0, 10.0, 10.5, 20.0], [0.0, 0.0, 6000.0, 6000.0])
-        mover = _mobile_iface(sim, medium, n_static, leg)
+        sim, medium, (*beacons, mover) = make_net(
+            [Vec2(x, 0) for x in xs] + [_HiddenTopSpeed(leg) if hide_speed else leg],
+            trace=trace, seed=6, fast_path=fast_path,
+        )
         rate = rate_by_name("dsss-11")
         for k in range(70):
             for i, beacon in enumerate(beacons):
@@ -780,10 +696,14 @@ class TestSpeedBoundFromMobility:
         rows = _rx_rows(trace)
         return rows, sum(1 for row in rows if row[1] == int(mover.node_id))
 
-    @pytest.mark.parametrize("n_static", [1, 16], ids=["lone", "17-radios"])
-    def test_production_matches_oracle(self, n_static):
-        production, at_mover = self._pass_records(n_static, fast_path=True)
-        oracle, oracle_at_mover = self._pass_records(n_static, fast_path=False)
+    @pytest.mark.parametrize(
+        "n_static, hide_speed",
+        [(1, False), (16, False), (1, True), (16, True)],
+        ids=["lone", "17-radios", "lone-hidden-speed", "17-radios-hidden-speed"],
+    )
+    def test_production_matches_oracle(self, n_static, hide_speed):
+        production, at_mover = self._pass_records(n_static, hide_speed, fast_path=True)
+        oracle, oracle_at_mover = self._pass_records(n_static, hide_speed, fast_path=False)
         assert oracle_at_mover > 0  # the mover really passes within reach
         assert at_mover == oracle_at_mover
         assert production == oracle

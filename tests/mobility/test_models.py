@@ -118,37 +118,6 @@ def test_base_model_top_speed_unknown():
 class TestBatchPositions:
     """Batched mobility queries are bit-identical to scalar position()."""
 
-    def test_static_positions_at(self):
-        import numpy as np
-
-        model = StaticMobility(Vec2(12.5, -3.0))
-        times = np.linspace(0.0, 50.0, 101)
-        xs, ys = model.positions_at(times)
-        assert np.array_equal(xs, np.full(101, 12.5))
-        assert np.array_equal(ys, np.full(101, -3.0))
-
-    def test_path_positions_at_matches_scalar(self):
-        import numpy as np
-
-        track = Polyline([Vec2(0, 0), Vec2(200, 0), Vec2(200, 150)])
-        model = PathMobility(track, 7.5, start_arc_length=10.0, start_time=2.0)
-        times = np.linspace(0.0, 60.0, 307)
-        xs, ys = model.positions_at(times)
-        for t, x, y in zip(times.tolist(), xs.tolist(), ys.tolist()):
-            p = model.position(t)
-            assert (x, y) == (p.x, p.y)
-
-    def test_trace_positions_at_matches_scalar(self):
-        import numpy as np
-
-        track = Polyline([Vec2(0, 0), Vec2(500, 0)])
-        trace = TraceMobility(track, [0.0, 5.0, 12.0, 30.0], [0.0, 60.0, 180.0, 420.0])
-        times = np.linspace(-2.0, 35.0, 311)
-        xs, ys = trace.positions_at(times)
-        for t, x, y in zip(times.tolist(), xs.tolist(), ys.tolist()):
-            p = trace.position(t)
-            assert (x, y) == (p.x, p.y)
-
     def test_path_group_query_matches_scalar(self):
         import numpy as np
 

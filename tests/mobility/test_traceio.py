@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,12 +213,6 @@ class TestMobilityBridge:
             for i, model in enumerate(models):
                 pos = model.position(t)
                 assert pos.x == xs[i] and pos.y == ys[i]
-        times = np.linspace(0.0, 60.0, 37)
-        for model in models:
-            bx, by = model.positions_at(times)
-            for j, t in enumerate(times.tolist()):
-                pos = model.position(t)
-                assert pos.x == bx[j] and pos.y == by[j]
 
     def test_positions_match_trace_interpolation(self):
         ts = synth_traces(vehicles=3, duration_s=30.0, seed=2)
