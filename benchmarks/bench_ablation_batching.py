@@ -9,21 +9,22 @@ request frames and less dark-area airtime.
 from dataclasses import replace
 
 from repro.analysis.report import format_table
-from repro.experiments.runner import run_urban_experiment
-from repro.experiments.testbed import paper_testbed_config
+from repro.scenarios.common import collect_matrices
+from repro.scenarios.urban import UrbanScenarioConfig, build_urban_round
 
 ROUNDS = 6
 
 
 def run_variant(batched: bool):
-    base = paper_testbed_config(seed=501)
+    base = UrbanScenarioConfig(seed=501)
     cfg = replace(base, carq=replace(base.carq, batch_requests=batched, max_batch=64))
-    result = run_urban_experiment(cfg, rounds=ROUNDS)
     request_frames = recovered = after = tx = 0
-    for outcome in result.rounds:
-        for stats in outcome.stats.values():
-            request_frames += stats.request_frames_sent
-        for matrix in outcome.matrices.values():
+    for index in range(ROUNDS):
+        ctx = build_urban_round(cfg, index)
+        ctx.run()
+        for car in ctx.cars.values():
+            request_frames += car.protocol.stats.request_frames_sent
+        for matrix in collect_matrices(ctx.capture, ctx.cars).values():
             tx += matrix.tx_by_ap
             after += matrix.lost_after_coop
             recovered += matrix.lost_before_coop - matrix.lost_after_coop

@@ -12,13 +12,8 @@ from dataclasses import replace
 
 from repro.analysis.report import format_table
 from repro.core.retransmission import FixedRetransmission
-from repro.experiments.baseline_runner import (
-    build_baseline_round,
-    collect_baseline_matrices,
-)
-from repro.experiments.runner import collect_round
-from repro.experiments.scenario import build_urban_round
-from repro.experiments.testbed import paper_testbed_config
+from repro.scenarios.common import collect_matrices
+from repro.scenarios.urban import UrbanScenarioConfig, build_urban_round
 
 ROUNDS = 5
 
@@ -29,7 +24,7 @@ def _efficiency(matrices, ap_frames):
 
 
 def run_carq(retx_policy=None):
-    cfg = paper_testbed_config(seed=909)
+    cfg = UrbanScenarioConfig(seed=909)
     delivered_total = frames_total = 0
     after = tx = 0
     for index in range(ROUNDS):
@@ -37,11 +32,11 @@ def run_carq(retx_policy=None):
         if retx_policy is not None:
             ctx.ap._retx_policy = retx_policy
         ctx.run()
-        outcome = collect_round(ctx, index)
-        delivered, _ = _efficiency(outcome.matrices, ctx.ap.iface.frames_sent)
+        matrices = collect_matrices(ctx.capture, ctx.cars)
+        delivered, _ = _efficiency(matrices, ctx.ap.iface.frames_sent)
         delivered_total += delivered
         frames_total += ctx.ap.iface.frames_sent
-        for matrix in outcome.matrices.values():
+        for matrix in matrices.values():
             tx += matrix.tx_by_ap
             after += matrix.lost_after_coop
     return {
@@ -51,12 +46,12 @@ def run_carq(retx_policy=None):
 
 
 def run_arq_baseline():
-    cfg = paper_testbed_config(seed=909)
+    cfg = UrbanScenarioConfig(seed=909, mode="arq")
     delivered_total = frames_total = after = tx = 0
     for index in range(ROUNDS):
-        ctx = build_baseline_round(cfg, index, "arq")
+        ctx = build_urban_round(cfg, index)
         ctx.run()
-        matrices = collect_baseline_matrices(ctx)
+        matrices = collect_matrices(ctx.capture, ctx.cars)
         delivered, _ = _efficiency(matrices, ctx.ap.iface.frames_sent)
         delivered_total += delivered
         frames_total += ctx.ap.iface.frames_sent

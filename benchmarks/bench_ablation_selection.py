@@ -13,14 +13,14 @@ import numpy as np
 
 from repro.analysis.report import format_table
 from repro.core.selection import AllNeighbors, BestK, RandomK
-from repro.experiments.runner import run_urban_experiment
-from repro.experiments.testbed import paper_testbed_config
+from repro.scenarios.common import collect_matrices
+from repro.scenarios.urban import UrbanScenarioConfig, build_urban_round
 
 ROUNDS = 5
 
 
 def run_strategy(strategy):
-    base = paper_testbed_config(seed=777)
+    base = UrbanScenarioConfig(seed=777)
     cfg = replace(
         base,
         platoon=replace(
@@ -30,14 +30,15 @@ def run_strategy(strategy):
         ),
         carq=replace(base.carq, selection=strategy),
     )
-    result = run_urban_experiment(cfg, rounds=ROUNDS)
     tx = after = responses = 0
-    for outcome in result.rounds:
-        for matrix in outcome.matrices.values():
+    for index in range(ROUNDS):
+        ctx = build_urban_round(cfg, index)
+        ctx.run()
+        for matrix in collect_matrices(ctx.capture, ctx.cars).values():
             tx += matrix.tx_by_ap
             after += matrix.lost_after_coop
-        for stats in outcome.stats.values():
-            responses += stats.responses_sent
+        for car in ctx.cars.values():
+            responses += car.protocol.stats.responses_sent
     return {
         "after_pct": 100.0 * after / tx,
         "responses": responses / ROUNDS,

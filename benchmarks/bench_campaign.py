@@ -14,9 +14,9 @@ import time
 
 from repro.analysis.report import format_table
 from repro.campaign.executor import run_campaign
+from repro.campaign.spec import CampaignSpec, config_to_dict
 from repro.campaign.store import MemoryStore
-from repro.experiments.scenario import UrbanScenarioConfig
-from repro.experiments.sweeps import platoon_size_spec
+from repro.scenarios.urban import UrbanScenarioConfig, platoon_size_points
 
 SIZES = [2, 3]
 ROUNDS = 4
@@ -33,7 +33,18 @@ def _timed_run(spec, workers):
 
 
 def test_campaign_parallel_speedup(artifact_sink):
-    spec = platoon_size_spec(UrbanScenarioConfig(seed=55), SIZES, rounds=ROUNDS)
+    spec = CampaignSpec.from_dict(
+        {
+            "name": "platoon-size",
+            "scenario": "urban",
+            "seed": 55,
+            "rounds": ROUNDS,
+            "base": config_to_dict(UrbanScenarioConfig(seed=55)),
+            "axes": [
+                {"name": "platoon.n_cars", "points": platoon_size_points(SIZES)}
+            ],
+        }
+    )
 
     serial_s, serial_stats, serial_rows = _timed_run(spec, workers=1)
     parallel_s, parallel_stats, parallel_rows = _timed_run(spec, workers=WORKERS)

@@ -13,6 +13,7 @@ from repro.analysis.ascii_plot import ascii_plot
 from repro.analysis.reception_prob import reception_curves
 from repro.analysis.regions import estimate_regions
 from repro.analysis.report import format_series
+from repro.analysis.stats import flow_matrices
 from repro.mac.frames import NodeId
 
 CARS = [NodeId(1), NodeId(2), NodeId(3)]
@@ -20,8 +21,8 @@ NAMES = {car: f"car {car}" for car in CARS}
 
 
 @pytest.mark.parametrize("flow_car", CARS, ids=["fig3", "fig4", "fig5"])
-def test_reception_probability_figure(flow_car, benchmark, urban_result, artifact_sink):
-    matrices = urban_result.matrices_for_flow(flow_car)
+def test_reception_probability_figure(flow_car, benchmark, urban_matrices, artifact_sink):
+    matrices = flow_matrices(urban_matrices, flow_car)
 
     curves = benchmark(reception_curves, matrices, CARS, car_names=NAMES)
     smoothed = [curves[car].smoothed(7) for car in CARS]

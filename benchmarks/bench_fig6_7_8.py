@@ -12,14 +12,15 @@ import pytest
 from repro.analysis.ascii_plot import ascii_plot
 from repro.analysis.joint import coop_curves, optimality_gap
 from repro.analysis.report import format_series
+from repro.analysis.stats import flow_matrices
 from repro.mac.frames import NodeId
 
 CARS = [NodeId(1), NodeId(2), NodeId(3)]
 
 
 @pytest.mark.parametrize("flow_car", CARS, ids=["fig6", "fig7", "fig8"])
-def test_after_coop_vs_joint_figure(flow_car, benchmark, urban_result, artifact_sink):
-    matrices = urban_result.matrices_for_flow(flow_car)
+def test_after_coop_vs_joint_figure(flow_car, benchmark, urban_matrices, artifact_sink):
+    matrices = flow_matrices(urban_matrices, flow_car)
 
     curves = benchmark(coop_curves, matrices, car_name=f"car {flow_car}")
     gap = optimality_gap(matrices)

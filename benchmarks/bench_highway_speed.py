@@ -7,20 +7,39 @@ and C-ARQ recovers a substantial share in the dark area behind the AP.
 """
 
 from repro.analysis.report import format_table
-from repro.experiments.highway import HighwayConfig
-from repro.experiments.sweeps import speed_sweep
+from repro.campaign import (
+    CampaignSpec,
+    MemoryStore,
+    axis,
+    config_to_dict,
+    run_campaign,
+    sweep_points,
+)
+from repro.scenarios.highway import HighwayConfig
 from repro.units import ms_to_kmh
 
 SPEEDS_MS = [10.0, 20.0, 30.0, 40.0]
 ROUNDS = 3
 
 
+def speed_sweep(cfg: HighwayConfig):
+    spec = CampaignSpec(
+        name="speed",
+        scenario="highway",
+        seed=cfg.seed,
+        rounds=cfg.rounds,
+        base=config_to_dict(cfg),
+        axes=(axis("speed_ms", SPEEDS_MS),),
+    )
+    store = MemoryStore()
+    run_campaign(spec, store)
+    return sweep_points(store, spec)
+
+
 def test_highway_speed_sweep(benchmark, artifact_sink):
     cfg = HighwayConfig(rounds=ROUNDS, seed=31)
 
-    points = benchmark.pedantic(
-        speed_sweep, args=(cfg, SPEEDS_MS), rounds=1, iterations=1
-    )
+    points = benchmark.pedantic(speed_sweep, args=(cfg,), rounds=1, iterations=1)
 
     rows = [
         [
@@ -62,7 +81,7 @@ def test_highway_large_n_fast_path(benchmark, bench_json_sink):
     import dataclasses
     import time
 
-    from repro.experiments.highway import build_highway_round
+    from repro.scenarios.highway import build_highway_round
 
     def window_seconds(fast_path: bool) -> float:
         cfg = HighwayConfig(

@@ -11,19 +11,30 @@ C-ARQ vs direct reception only.
 import math
 
 from repro.analysis.report import format_table
-from repro.experiments.multi_ap import MultiApConfig, run_multi_ap_experiment
+from repro.scenarios.multi_ap import (
+    MultiApConfig,
+    build_multi_ap_round,
+    collect_download_outcomes,
+)
 
 ROUNDS = 3
+
+
+def download_outcomes(cfg: MultiApConfig):
+    outcomes = []
+    for index in range(cfg.rounds):
+        ctx = build_multi_ap_round(cfg, index)
+        ctx.run()
+        outcomes.extend(collect_download_outcomes(ctx))
+    return outcomes
 
 
 def test_multi_ap_download(benchmark, artifact_sink):
     cfg = MultiApConfig(rounds=ROUNDS, seed=67)
 
-    all_rounds = benchmark.pedantic(
-        run_multi_ap_experiment, args=(cfg,), rounds=1, iterations=1
+    outcomes = benchmark.pedantic(
+        download_outcomes, args=(cfg,), rounds=1, iterations=1
     )
-
-    outcomes = [outcome for round_outcomes in all_rounds for outcome in round_outcomes]
     coop = [o.aps_visited_coop for o in outcomes if math.isfinite(o.aps_visited_coop)]
     direct = [
         o.aps_visited_direct for o in outcomes if math.isfinite(o.aps_visited_direct)
@@ -77,8 +88,6 @@ def test_multi_ap_large_n_fast_path(benchmark, bench_json_sink):
     """
     import dataclasses
     import time
-
-    from repro.experiments.multi_ap import build_multi_ap_round
 
     def window_seconds(fast_path: bool) -> float:
         cfg = MultiApConfig(

@@ -8,48 +8,28 @@ for summary vectors plus bidirectional flooding.
 """
 
 from repro.analysis.report import format_table
-from repro.experiments.baseline_runner import (
-    build_baseline_round,
-    collect_baseline_matrices,
-)
-from repro.experiments.runner import collect_round
-from repro.experiments.scenario import build_urban_round
-from repro.experiments.testbed import paper_testbed_config
+from repro.scenarios.common import collect_matrices
+from repro.scenarios.urban import UrbanScenarioConfig, build_urban_round
 
 ROUNDS = 5
 
 
-def run_carq():
-    cfg = paper_testbed_config(seed=1201)
+def run_mode(mode: str):
+    cfg = UrbanScenarioConfig(seed=1201, mode=mode)
     car_bytes = tx = after = 0
     for index in range(ROUNDS):
         ctx = build_urban_round(cfg, index)
         ctx.run()
-        outcome = collect_round(ctx, index)
         car_bytes += sum(car.iface.bytes_sent for car in ctx.cars.values())
-        for matrix in outcome.matrices.values():
-            tx += matrix.tx_by_ap
-            after += matrix.lost_after_coop
-    return {"car_kb": car_bytes / ROUNDS / 1000.0, "after_pct": 100.0 * after / tx}
-
-
-def run_epidemic():
-    cfg = paper_testbed_config(seed=1201)
-    car_bytes = tx = after = 0
-    for index in range(ROUNDS):
-        ctx = build_baseline_round(cfg, index, "epidemic")
-        ctx.run()
-        matrices = collect_baseline_matrices(ctx)
-        car_bytes += sum(car.iface.bytes_sent for car in ctx.cars.values())
-        for matrix in matrices.values():
+        for matrix in collect_matrices(ctx.capture, ctx.cars).values():
             tx += matrix.tx_by_ap
             after += matrix.lost_after_coop
     return {"car_kb": car_bytes / ROUNDS / 1000.0, "after_pct": 100.0 * after / tx}
 
 
 def test_epidemic_overhead(benchmark, artifact_sink):
-    carq = benchmark.pedantic(run_carq, rounds=1, iterations=1)
-    epidemic = run_epidemic()
+    carq = benchmark.pedantic(run_mode, args=("carq",), rounds=1, iterations=1)
+    epidemic = run_mode("epidemic")
 
     text = format_table(
         ["Scheme", "Loss after recovery", "Car-transmitted kB/round"],

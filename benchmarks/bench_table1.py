@@ -7,14 +7,13 @@ simulation round (the unit of work behind every Table-1 cell) and prints
 the regenerated table next to the paper's percentages.
 """
 
-from repro.analysis.stats import compute_table1
+from repro.analysis.stats import PAPER_TABLE1, compute_table1
 from repro.analysis.report import render_table1
-from repro.experiments.scenario import build_urban_round
-from repro.experiments.testbed import PAPER_TABLE1, paper_testbed_config
+from repro.scenarios.urban import UrbanScenarioConfig, build_urban_round
 
 
-def test_table1(benchmark, urban_result, artifact_sink):
-    cfg = paper_testbed_config()
+def test_table1(benchmark, urban_matrices, artifact_sink):
+    cfg = UrbanScenarioConfig()
 
     def one_round():
         ctx = build_urban_round(cfg, 0)
@@ -23,7 +22,7 @@ def test_table1(benchmark, urban_result, artifact_sink):
 
     benchmark.pedantic(one_round, rounds=3, iterations=1)
 
-    rows = compute_table1(urban_result.matrices_by_round())
+    rows = compute_table1(urban_matrices)
     text = render_table1(rows, paper_reference=PAPER_TABLE1)
     artifact_sink("table1", text)
 

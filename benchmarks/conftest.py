@@ -15,9 +15,9 @@ import pathlib
 
 import pytest
 
-from repro.experiments.runner import run_urban_experiment
-from repro.experiments.testbed import paper_testbed_config
 from repro.ioutil import atomic_write_json, atomic_write_text
+from repro.scenarios import decode_matrix_rows, get_scenario
+from repro.scenarios.urban import UrbanScenarioConfig
 
 #: Rounds used by the shared urban run (paper: 30; benches trade a little
 #: variance for wall-clock time).
@@ -32,9 +32,13 @@ BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_kernel.json"
 
 
 @pytest.fixture(scope="session")
-def urban_result():
-    """One shared multi-round run of the paper testbed."""
-    return run_urban_experiment(paper_testbed_config(rounds=URBAN_ROUNDS))
+def urban_matrices():
+    """Per-round matrices of one shared multi-round run of the paper testbed."""
+    urban = get_scenario("urban")
+    cfg = UrbanScenarioConfig(rounds=URBAN_ROUNDS)
+    return decode_matrix_rows(
+        [urban.run_round(cfg, index) for index in range(URBAN_ROUNDS)]
+    )
 
 
 @pytest.fixture(scope="session")

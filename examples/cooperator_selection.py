@@ -19,13 +19,14 @@ import numpy as np
 
 from repro.analysis import compute_table1
 from repro.core.selection import AllNeighbors, BestK, RandomK
-from repro.experiments import paper_testbed_config, run_urban_experiment
+from repro.scenarios.common import collect_matrices
+from repro.scenarios.urban import UrbanScenarioConfig, build_urban_round
 
 ROUNDS = 4
 
 
 def run(strategy, label):
-    base = paper_testbed_config(seed=321, rounds=ROUNDS)
+    base = UrbanScenarioConfig(seed=321, rounds=ROUNDS)
     config = replace(
         base,
         platoon=replace(
@@ -35,14 +36,20 @@ def run(strategy, label):
         ),
         carq=replace(base.carq, selection=strategy),
     )
-    result = run_urban_experiment(config)
-    rows = compute_table1(result.matrices_by_round())
+    matrices_by_round = []
+    responses = 0
+    for index in range(ROUNDS):
+        # Built by hand, not via run_round: the responder count is a
+        # protocol counter, which the result row does not carry.
+        ctx = build_urban_round(config, index)
+        ctx.run()
+        matrices_by_round.append(collect_matrices(ctx.capture, ctx.cars))
+        responses += sum(
+            car.protocol.stats.responses_sent for car in ctx.cars.values()
+        )
+    rows = compute_table1(matrices_by_round)
     after = sum(r.lost_after_pct for r in rows.values()) / len(rows)
-    responses = sum(
-        stats.responses_sent
-        for outcome in result.rounds
-        for stats in outcome.stats.values()
-    ) / ROUNDS
+    responses /= ROUNDS
     print(f"{label:<28} loss after coop {after:5.1f}%   "
           f"responder frames/round {responses:5.0f}")
 

@@ -11,16 +11,33 @@ missing lists are hundreds of packets long).
 Run:  python examples/highway_platoon.py
 """
 
-from repro.experiments.highway import HighwayConfig
-from repro.experiments.sweeps import speed_sweep
+from repro.campaign import (
+    CampaignSpec,
+    MemoryStore,
+    axis,
+    config_to_dict,
+    run_campaign,
+    sweep_points,
+)
+from repro.scenarios.highway import HighwayConfig
 from repro.units import kmh_to_ms, ms_to_kmh
 
 
 def main() -> None:
     config = HighwayConfig(rounds=3, seed=101)
     speeds = [kmh_to_ms(v) for v in (40.0, 80.0, 120.0)]
+    spec = CampaignSpec(
+        name="speed",
+        scenario="highway",
+        seed=config.seed,
+        rounds=config.rounds,
+        base=config_to_dict(config),
+        axes=(axis("speed_ms", speeds),),
+    )
     print("Sweeping drive-thru speed (3 rounds each) …\n")
-    points = speed_sweep(config, speeds)
+    store = MemoryStore()
+    run_campaign(spec, store)
+    points = sweep_points(store, spec)
 
     print(f"{'speed':>10} {'pkts in window':>15} {'lost before':>12} "
           f"{'lost after':>11} {'coop gain':>10}")

@@ -13,7 +13,11 @@ Run:  python examples/multi_ap_download.py
 
 import math
 
-from repro.experiments.multi_ap import MultiApConfig, run_multi_ap_experiment
+from repro.scenarios.multi_ap import (
+    MultiApConfig,
+    build_multi_ap_round,
+    collect_download_outcomes,
+)
 
 
 def fmt(aps: float) -> str:
@@ -28,12 +32,13 @@ def main() -> None:
         f"every {config.ap_spacing_m:.0f} m, file of {config.file_blocks} "
         f"blocks per car, platoon at {config.speed_ms * 3.6:.0f} km/h\n"
     )
-    rounds = run_multi_ap_experiment(config)
 
     print(f"{'round':>5} {'car':>4} {'APs (C-ARQ)':>12} {'APs (direct)':>13}")
     coop_total, direct_total, pairs = 0.0, 0.0, 0
-    for round_index, outcomes in enumerate(rounds):
-        for outcome in outcomes:
+    for round_index in range(config.rounds):
+        ctx = build_multi_ap_round(config, round_index)
+        ctx.run()
+        for outcome in collect_download_outcomes(ctx):
             print(
                 f"{round_index:>5} {outcome.car:>4} "
                 f"{fmt(outcome.aps_visited_coop):>12} "

@@ -18,8 +18,8 @@ from repro.campaign import (
     run_campaign,
     sweep_points,
 )
-from repro.experiments.scenario import UrbanScenarioConfig
 from repro.scenarios import PROTOCOL_MODES, get_scenario
+from repro.scenarios.urban import UrbanScenarioConfig
 
 
 def main() -> None:

@@ -9,23 +9,31 @@ roughly halves residual packet loss at zero AP-airtime cost.
 Run:  python examples/quickstart.py
 """
 
-from repro import paper_testbed_config, run_urban_experiment
-from repro.analysis import compute_table1, optimality_gap, render_table1
-from repro.experiments import PAPER_TABLE1
+from repro import PAPER_TABLE1, UrbanScenarioConfig
+from repro.analysis import (
+    compute_table1,
+    flow_matrices,
+    optimality_gap,
+    render_table1,
+)
+from repro.scenarios import decode_matrix_rows, get_scenario
 
 
 def main() -> None:
-    config = paper_testbed_config(rounds=5)
+    config = UrbanScenarioConfig(rounds=5)  # the paper's testbed, seed 2008
     print(f"Running {config.rounds} rounds of the urban testbed …")
-    result = run_urban_experiment(config)
+    urban = get_scenario("urban")
+    matrices = decode_matrix_rows(
+        [urban.run_round(config, index) for index in range(config.rounds)]
+    )
 
-    rows = compute_table1(result.matrices_by_round())
+    rows = compute_table1(matrices)
     print()
     print(render_table1(rows, paper_reference=PAPER_TABLE1))
 
     print()
     for car, row in sorted(rows.items()):
-        gap = optimality_gap(result.matrices_for_flow(car))
+        gap = optimality_gap(flow_matrices(matrices, car))
         print(
             f"car {car}: cooperation removed {row.loss_reduction_pct:.0f}% of "
             f"losses; optimality gap vs the platoon's joint reception: {gap:.3f}"

@@ -17,8 +17,9 @@ import tempfile
 from pathlib import Path
 
 from repro.mobility.traceio import dump_traces, load_traces, synth_traces
-from repro.scenarios.trace import TraceScenarioConfig, run_trace_experiment
+from repro.scenarios import get_scenario
 from repro.scenarios.summaries import summarize_matrices
+from repro.scenarios.trace import TraceScenarioConfig
 
 
 def main() -> None:
@@ -38,10 +39,11 @@ def main() -> None:
         base = TraceScenarioConfig(
             trace_file=str(trace_path), seed=2024, rounds=2
         )
+        trace = get_scenario("trace")
         print(f"{'mode':>8} {'pkts':>7} {'before':>8} {'after':>7} {'gain':>6}")
         for mode in ("carq", "nocoop"):
             config = dataclasses.replace(base, mode=mode)
-            rows = run_trace_experiment(config)
+            rows = [trace.run_round(config, i) for i in range(config.rounds)]
             point = summarize_matrices(rows, mode)
             print(
                 f"{mode:>8} {point.tx_by_ap_mean:>7.0f} "

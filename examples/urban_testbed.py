@@ -14,18 +14,19 @@ Run:  python examples/urban_testbed.py [rounds]
 
 import sys
 
-from repro import paper_testbed_config, run_urban_experiment
+from repro import PAPER_TABLE1, UrbanScenarioConfig
 from repro.analysis import (
     ascii_plot,
     compute_table1,
     coop_curves,
     estimate_regions,
+    flow_matrices,
     optimality_gap,
     reception_curves,
     render_table1,
 )
-from repro.experiments import PAPER_TABLE1
 from repro.mac.frames import NodeId
+from repro.scenarios import decode_matrix_rows, get_scenario
 
 CARS = [NodeId(1), NodeId(2), NodeId(3)]
 NAMES = {car: f"car {car}" for car in CARS}
@@ -34,15 +35,19 @@ NAMES = {car: f"car {car}" for car in CARS}
 def main() -> None:
     rounds = int(sys.argv[1]) if len(sys.argv) > 1 else 15
     print(f"Simulating {rounds} rounds of the Fig. 2 urban loop …\n")
-    result = run_urban_experiment(paper_testbed_config(rounds=rounds))
+    config = UrbanScenarioConfig(rounds=rounds)
+    urban = get_scenario("urban")
+    by_round = decode_matrix_rows(
+        [urban.run_round(config, index) for index in range(rounds)]
+    )
 
     print(render_table1(
-        compute_table1(result.matrices_by_round()),
+        compute_table1(by_round),
         paper_reference=PAPER_TABLE1,
     ))
 
     for flow in CARS:
-        matrices = result.matrices_for_flow(flow)
+        matrices = flow_matrices(by_round, flow)
         curves = reception_curves(matrices, CARS, car_names=NAMES)
         regions = estimate_regions(matrices, CARS)
         figure = 2 + int(flow)
@@ -55,7 +60,7 @@ def main() -> None:
         print(ascii_plot([curves[car].smoothed(7) for car in CARS]))
 
     for flow in CARS:
-        matrices = result.matrices_for_flow(flow)
+        matrices = flow_matrices(by_round, flow)
         curves = coop_curves(matrices, car_name=f"car {flow}")
         figure = 5 + int(flow)
         print(f"\nFigure {figure} — after-coop vs joint reception, car {flow}")

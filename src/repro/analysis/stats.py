@@ -9,6 +9,13 @@ from repro.errors import AnalysisError
 from repro.mac.frames import NodeId
 from repro.trace.matrix import ReceptionMatrix
 
+#: Paper Table 1 — (lost-before %, lost-after %) per car, 30 rounds.
+PAPER_TABLE1: dict[NodeId, tuple[float, float]] = {
+    NodeId(1): (23.4, 10.5),
+    NodeId(2): (26.9, 17.3),
+    NodeId(3): (28.6, 15.7),
+}
+
 
 def _mean(values: list[float]) -> float:
     return sum(values) / len(values)
@@ -92,3 +99,25 @@ def compute_table1(
             lost_after_pct=_mean(after_pct),
         )
     return rows
+
+
+def flow_matrices(
+    matrices_by_round: list[dict[NodeId, ReceptionMatrix]], car: NodeId
+) -> list[ReceptionMatrix]:
+    """All rounds' matrices of one car's flow (rounds missing it skipped).
+
+    This is the input of the per-flow figure curves (Figures 3–8).
+
+    Raises
+    ------
+    AnalysisError
+        If the car never associated in any round.
+    """
+    matrices = [
+        round_matrices[car]
+        for round_matrices in matrices_by_round
+        if car in round_matrices
+    ]
+    if not matrices:
+        raise AnalysisError(f"car {car} never associated in any round")
+    return matrices

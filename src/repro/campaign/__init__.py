@@ -24,8 +24,9 @@ package turns "run one experiment" into "execute a campaign of many":
   existing :class:`SweepPoint` / Table-1 shapes;
 * :mod:`repro.campaign.progress` — tick/rate/ETA reporting.
 
-The legacy sweeps in :mod:`repro.experiments.sweeps` and the ``repro
-campaign`` CLI are both fronts over this engine.
+The ``repro campaign`` CLI and the paper commands (``table1``,
+``figures``, ``highway``, ``multi-ap``) all run their rounds on this
+engine.
 """
 
 from repro.campaign.chaos import ChaosSpec

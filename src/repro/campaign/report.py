@@ -8,8 +8,8 @@ and dispatches, so it contains no per-scenario knowledge at all.
 
 :class:`SweepPoint` and :class:`DownloadSummary` live in
 :mod:`repro.scenarios.summaries` (plugins declare their folds there,
-below the campaign layer); they are re-exported here, and by
-:mod:`repro.experiments.sweeps`, for compatibility.
+below the campaign layer, next to the matrix codec this module decodes
+rows with); they are re-exported here.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.scenarios.summaries import (  # noqa: F401  (re-exported API)
     DownloadSummary,
     SweepPoint,
     aggregate_matrices,
-    decode_matrix,
+    decode_matrix_rows,
 )
 from repro.trace.matrix import ReceptionMatrix
 
@@ -71,14 +71,8 @@ def matrices_by_round(
             )
         labels = points[0][0]
     for point_labels, tasks in _point_tasks(spec):
-        if point_labels != tuple(labels):
-            continue
-        rounds = []
-        for task in tasks:
-            row = _fetch_row(store, task)
-            matrices = [decode_matrix(m) for m in row.get("matrices", [])]
-            rounds.append({matrix.flow: matrix for matrix in matrices})
-        return rounds
+        if point_labels == tuple(labels):
+            return decode_matrix_rows([_fetch_row(store, task) for task in tasks])
     raise CampaignError(f"grid point {labels!r} is not part of the campaign")
 
 
@@ -110,8 +104,9 @@ def _scenarios_summarizing(summary_cls: type) -> str:
 def sweep_points(store: ResultStore, spec: CampaignSpec) -> list[SweepPoint]:
     """One :class:`SweepPoint` per grid point, grid order.
 
-    Bit-identical to the legacy serial sweeps: the fold sums the same
-    integer counters over the same rounds, only sourced from the store.
+    Bit-identical to folding the rows of a direct ``run_round`` loop:
+    the fold sums the same integer counters over the same rounds, only
+    sourced from the store.
     Campaigns whose scenario folds into something else are refused.
     """
     plugin = get_scenario(spec.scenario)
@@ -130,8 +125,8 @@ def download_summaries(
     """Per-grid-point download summaries of a download-style campaign.
 
     Cars that never completed the file under *direct* reception are
-    excluded (both columns), keeping the comparison paired — the same
-    rule the serial multi-AP CLI applies.
+    excluded (both columns), keeping the comparison paired — the rule
+    ``repro multi-ap`` reports by.
     """
     plugin = get_scenario(spec.scenario)
     if plugin.summary_cls is not DownloadSummary:

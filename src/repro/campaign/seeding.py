@@ -10,7 +10,7 @@ Two layers cooperate:
 * The scenario builders already derive each round's simulator seed from
   ``(config seed, round_index)`` (e.g. ``seed + 7919 * (round + 1)`` for
   the urban testbed) — tasks inherit that unchanged, which is what keeps
-  campaign sweeps equal to the legacy serial sweeps.
+  a campaign's rows equal to a direct loop over the plugin's rounds.
 * When a spec asks for ``independent_seeds``, each grid point gets its
   own config seed derived here from the campaign master seed and the
   point's labels, so adding or removing grid points never shifts the

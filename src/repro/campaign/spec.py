@@ -136,9 +136,9 @@ class CampaignSpec:
         :func:`repro.scenarios.scenario_names`).
     seed:
         Campaign master seed.  With ``independent_seeds`` off (the
-        default, matching the legacy sweeps) every grid point runs its
-        rounds from this seed; on, each grid point derives its own seed
-        from the master and its labels.
+        default) every grid point runs its rounds from this seed; on,
+        each grid point derives its own seed from the master and its
+        labels.
     rounds:
         Independent repetitions per grid point.
     base:

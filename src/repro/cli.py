@@ -7,7 +7,8 @@ any Python:
 * ``table1 [--rounds N] [--seed S]`` — Table 1 with paper reference columns;
 * ``figures [--rounds N] [--flow CAR]`` — ASCII Figures 3–8 for one flow;
 * ``highway [--speeds KMH,KMH,…]`` — the drive-thru speed sweep;
-* ``multi-ap [--rounds N]`` — the §6 file-download study;
+* ``multi-ap [--rounds N]`` — the §6 file-download study (these four
+  run their rounds in-process on the campaign engine);
 * ``scenarios [--markdown|--doc]`` — the registered scenario plugins
   (``--doc`` emits the full ``docs/SCENARIOS.md`` reference);
 * ``trace synth|info`` — generate a deterministic synthetic mobility
@@ -39,14 +40,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from repro.analysis import (
+    PAPER_TABLE1,
     ascii_plot,
     compute_table1,
     coop_curves,
     estimate_regions,
+    flow_matrices,
     optimality_gap,
     reception_curves,
     render_table1,
@@ -55,25 +57,23 @@ from repro.campaign import (
     CampaignSpec,
     ChaosSpec,
     FailureLog,
+    GridAxis,
+    GridPoint,
     JsonlStore,
+    MemoryStore,
     MetricsLog,
     ProgressReporter,
     RetryPolicy,
     config_from_dict,
     config_to_dict,
+    download_summaries,
+    matrices_by_round,
     point_summaries,
     run_campaign,
+    sweep_points,
 )
-from repro.campaign.spec import GridAxis, apply_override
+from repro.campaign.spec import apply_override
 from repro.errors import CampaignError, ReproError
-from repro.experiments import (
-    PAPER_TABLE1,
-    paper_testbed_config,
-    run_urban_experiment,
-)
-from repro.experiments.highway import HighwayConfig
-from repro.experiments.multi_ap import MultiApConfig, run_multi_ap_experiment
-from repro.experiments.sweeps import speed_sweep
 from repro.mac.frames import NodeId
 from repro.scenarios import (
     all_scenarios,
@@ -81,28 +81,45 @@ from repro.scenarios import (
     scenario_names,
     scenario_table_markdown,
 )
-from repro.units import kmh_to_ms, ms_to_kmh
+from repro.units import kmh_to_ms
+
+
+def _run_paper_campaign(
+    scenario: str, args: argparse.Namespace, axes: tuple[GridAxis, ...] = ()
+) -> tuple[CampaignSpec, MemoryStore]:
+    """Run a scenario's default campaign at ``--rounds`` / ``--seed``.
+
+    The tasks are the ones ``repro campaign run --scenario NAME`` runs
+    with the same rounds and seed (plus *axes*), executed in-process.
+    """
+    import dataclasses
+
+    spec = dataclasses.replace(
+        _default_scenario_spec(scenario),
+        rounds=args.rounds,
+        seed=args.seed,
+        axes=axes,
+    )
+    store = MemoryStore()
+    run_campaign(spec, store)
+    return spec, store
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
-    result = run_urban_experiment(
-        paper_testbed_config(rounds=args.rounds, seed=args.seed)
-    )
-    rows = compute_table1(result.matrices_by_round())
+    spec, store = _run_paper_campaign("urban", args)
+    rows = compute_table1(matrices_by_round(store, spec))
     print(render_table1(rows, paper_reference=PAPER_TABLE1))
     return 0
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    result = run_urban_experiment(
-        paper_testbed_config(rounds=args.rounds, seed=args.seed)
-    )
     cars = [NodeId(i + 1) for i in range(3)]
     flow = NodeId(args.flow)
     if flow not in cars:
         print(f"unknown car {args.flow}; choose 1-3", file=sys.stderr)
         return 2
-    matrices = result.matrices_for_flow(flow)
+    spec, store = _run_paper_campaign("urban", args)
+    matrices = flow_matrices(matrices_by_round(store, spec), flow)
     names = {car: f"car {car}" for car in cars}
 
     curves = reception_curves(matrices, cars, car_names=names)
@@ -122,13 +139,20 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_highway(args: argparse.Namespace) -> int:
+    # The ``speed`` preset's axis: labels in km/h, overrides in m/s.
     speeds_kmh = [float(v) for v in args.speeds.split(",")]
-    cfg = HighwayConfig(rounds=args.rounds, seed=args.seed)
-    points = speed_sweep(cfg, [kmh_to_ms(v) for v in speeds_kmh])
+    speed = GridAxis(
+        name="speed_kmh",
+        points=tuple(
+            GridPoint(label=v, overrides={"speed_ms": kmh_to_ms(v)})
+            for v in speeds_kmh
+        ),
+    )
+    spec, store = _run_paper_campaign("highway", args, axes=(speed,))
     print(f"{'speed':>10} {'pkts':>7} {'before':>8} {'after':>7} {'gain':>6}")
-    for point in points:
+    for point in sweep_points(store, spec):
         print(
-            f"{ms_to_kmh(point.parameter):>7.0f} km/h {point.tx_by_ap_mean:>7.0f} "
+            f"{point.parameter:>7.0f} km/h {point.tx_by_ap_mean:>7.0f} "
             f"{100 * point.lost_before_fraction:>7.1f}% "
             f"{100 * point.lost_after_fraction:>6.1f}% "
             f"{100 * point.reduction_fraction:>5.0f}%"
@@ -137,22 +161,18 @@ def _cmd_highway(args: argparse.Namespace) -> int:
 
 
 def _cmd_multi_ap(args: argparse.Namespace) -> int:
-    cfg = MultiApConfig(rounds=args.rounds, seed=args.seed)
-    rounds = run_multi_ap_experiment(cfg)
-    coop, direct, pairs = 0.0, 0.0, 0
-    for outcomes in rounds:
-        for outcome in outcomes:
-            if math.isfinite(outcome.aps_visited_direct):
-                coop += outcome.aps_visited_coop
-                direct += outcome.aps_visited_direct
-                pairs += 1
-    if not pairs:
+    spec, store = _run_paper_campaign("multi_ap", args)
+    try:
+        (summary,) = download_summaries(store, spec)
+    except CampaignError:
         print("no car completed the download; lengthen the road")
         return 1
     print(
-        f"{cfg.file_blocks}-block file, APs every {cfg.ap_spacing_m:.0f} m: "
-        f"{coop / pairs:.1f} APs with C-ARQ vs {direct / pairs:.1f} without "
-        f"({100 * (1 - coop / direct):.0f}% fewer visits)"
+        f"{spec.base['file_blocks']}-block file, APs every "
+        f"{spec.base['ap_spacing_m']:.0f} m: "
+        f"{summary.aps_visited_coop_mean:.1f} APs with C-ARQ vs "
+        f"{summary.aps_visited_direct_mean:.1f} without "
+        f"({100 * summary.visit_reduction_fraction:.0f}% fewer visits)"
     )
     return 0
 

@@ -23,8 +23,9 @@ the built-in scenario set.
   :mod:`~repro.scenarios.bidirectional` /
   :mod:`~repro.scenarios.trace` — the built-in scenarios.
 
-Importing this package registers the built-in set; the modules in
-:mod:`repro.experiments` re-export the same names for compatibility.
+Importing this package registers the built-in set.  A plugin's
+:meth:`ScenarioPlugin.run_round` runs one round to its result row; the
+campaign engine (:mod:`repro.campaign`) calls it once per task.
 """
 
 from repro.scenarios.common import AP_NODE_ID, round_seed
@@ -55,6 +56,7 @@ from repro.scenarios.summaries import (
     SweepPoint,
     aggregate_matrices,
     decode_matrix,
+    decode_matrix_rows,
     encode_matrix,
 )
 
@@ -80,6 +82,7 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "decode_matrix",
+    "decode_matrix_rows",
     "encode_matrix",
     "get_scenario",
     "has_scenario",

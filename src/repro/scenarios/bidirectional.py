@@ -234,16 +234,6 @@ def collect_bidirectional_row(ctx: BidirectionalRoundContext) -> dict:
     return {"matrices": [encode_matrix(m) for m in matrices.values()]}
 
 
-def run_bidirectional_experiment(cfg: BidirectionalConfig) -> list[dict]:
-    """All rounds; returns one result row per round."""
-    rows = []
-    for index in range(cfg.rounds):
-        ctx = build_bidirectional_round(cfg, index)
-        ctx.run()
-        rows.append(collect_bidirectional_row(ctx))
-    return rows
-
-
 def _oncoming_preset() -> dict:
     """Loss reduction vs oncoming-platoon size (0 = no transient help)."""
     base = BidirectionalConfig(rounds=3)

@@ -4,7 +4,7 @@ Three environments cover the paper's studies — the shadowed urban street
 canyon of the testbed, the open two-ray highway of the drive-thru
 motivation, and the lightly-built corridor of the multi-AP download road.
 Each preset builds a complete :class:`~repro.radio.channel.Channel` from
-a :class:`~repro.experiments.scenario.RadioEnvironment` and the
+a :class:`~repro.scenarios.urban.RadioEnvironment` and the
 simulator's named random streams, so every scenario draws its fading,
 shadowing, and error randomness from the same stream names and stays
 reproducible under the campaign engine.

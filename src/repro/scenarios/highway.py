@@ -43,7 +43,6 @@ from repro.scenarios.summaries import (
 from repro.scenarios.urban import RadioEnvironment
 from repro.sim import Simulator
 from repro.trace.capture import TraceCollector
-from repro.trace.matrix import ReceptionMatrix
 from repro.units import kmh_to_ms
 
 
@@ -202,27 +201,10 @@ def build_highway_round(cfg: HighwayConfig, round_index: int) -> HighwayRoundCon
     )
 
 
-def collect_highway_matrices(
-    ctx: HighwayRoundContext,
-) -> dict[NodeId, ReceptionMatrix]:
-    """Per-car reception matrices of one finished highway round."""
-    return collect_matrices(ctx.capture, ctx.cars)
-
-
 def collect_highway_row(ctx: HighwayRoundContext) -> dict:
     """Reduce a finished round to its campaign result row."""
-    matrices = collect_highway_matrices(ctx)
+    matrices = collect_matrices(ctx.capture, ctx.cars)
     return {"matrices": [encode_matrix(m) for m in matrices.values()]}
-
-
-def run_highway_experiment(cfg: HighwayConfig) -> list[dict[NodeId, ReceptionMatrix]]:
-    """Run all rounds; returns per-round matrices per car."""
-    results = []
-    for index in range(cfg.rounds):
-        ctx = build_highway_round(cfg, index)
-        ctx.run()
-        results.append(collect_highway_matrices(ctx))
-    return results
 
 
 def _speed_preset() -> dict:

@@ -33,11 +33,11 @@ PROTOCOL_MODES = ("carq", "nocoop", "arq", "epidemic")
 BASELINE_MODES = ("nocoop", "arq", "epidemic")
 
 
-def validate_mode(mode: str, allowed: tuple[str, ...] = PROTOCOL_MODES) -> str:
-    """Check *mode* against *allowed*; returns it for chaining."""
-    if mode not in allowed:
+def validate_mode(mode: str) -> str:
+    """Check *mode* against :data:`PROTOCOL_MODES`; returns it for chaining."""
+    if mode not in PROTOCOL_MODES:
         raise ConfigurationError(
-            f"unknown protocol mode {mode!r}; choose from {allowed}"
+            f"unknown protocol mode {mode!r}; choose from {PROTOCOL_MODES}"
         )
     return mode
 

@@ -218,18 +218,6 @@ def _completion_time(events: list[tuple[float, int]], blocks: int) -> float | No
     return None
 
 
-def run_multi_ap_round(cfg: MultiApConfig, round_index: int) -> list[DownloadOutcome]:
-    """Simulate one traversal; returns one outcome per car."""
-    ctx = build_multi_ap_round(cfg, round_index)
-    ctx.run()
-    return collect_download_outcomes(ctx)
-
-
-def run_multi_ap_experiment(cfg: MultiApConfig) -> list[list[DownloadOutcome]]:
-    """All rounds of the multi-AP study."""
-    return [run_multi_ap_round(cfg, index) for index in range(cfg.rounds)]
-
-
 def collect_multi_ap_row(ctx: MultiApRoundContext) -> dict:
     """Reduce a finished traversal to its campaign result row."""
     encoded = []

@@ -4,11 +4,11 @@ Scenario plugins reduce a finished round to a plain JSON *row*; the
 campaign store persists rows; the report layer folds a grid point's rows
 back into one summary object.  This module owns all three shapes:
 
-* the reception-matrix codec (``encode_matrix`` / ``decode_matrix``) —
-  the common payload of coverage-style scenarios;
+* the reception-matrix codec (``encode_matrix`` / ``decode_matrix``,
+  and ``decode_matrix_rows`` for a list of rows) — the common payload
+  of coverage-style scenarios;
 * :class:`SweepPoint` and :func:`aggregate_matrices` — the sweep-table
-  fold (re-exported by :mod:`repro.campaign.report` and
-  :mod:`repro.experiments.sweeps` for compatibility);
+  fold (re-exported by :mod:`repro.campaign.report`);
 * :class:`DownloadSummary` and :func:`summarize_downloads` — the
   multi-AP file-download fold.
 
@@ -142,8 +142,8 @@ def summarize_downloads(rows: list[dict], parameter) -> DownloadSummary:
     """Fold download-outcome rows into one :class:`DownloadSummary`.
 
     Cars that never completed the file under *direct* reception are
-    excluded (both columns), keeping the comparison paired — the same
-    rule the serial multi-AP CLI applies.
+    excluded (both columns), keeping the comparison paired — the rule
+    ``repro multi-ap`` reports by.
     """
     coop = direct = 0.0
     pairs = 0

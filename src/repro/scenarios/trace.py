@@ -347,16 +347,6 @@ def collect_trace_row(ctx: TraceRoundContext) -> dict:
     return {"matrices": [encode_matrix(m) for m in matrices.values()]}
 
 
-def run_trace_experiment(cfg: TraceScenarioConfig) -> list[dict]:
-    """All rounds; returns one result row per round."""
-    rows = []
-    for index in range(cfg.rounds):
-        ctx = build_trace_round(cfg, index)
-        ctx.run()
-        rows.append(collect_trace_row(ctx))
-    return rows
-
-
 # -- presets -----------------------------------------------------------------
 
 

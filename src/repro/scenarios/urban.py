@@ -297,8 +297,8 @@ def platoon_size_points(sizes: list[int]) -> list[dict]:
 
     Growing the platoon also needs more driver styles — the paper's
     leader/timid/aggressive trio repeats.  Shared by the plugin preset
-    and :func:`repro.experiments.sweeps.platoon_size_spec` so the grid
-    exists exactly once.
+    and every caller that builds a platoon-size campaign of its own, so
+    the grid exists exactly once.
     """
     points = []
     for size in sizes:

@@ -15,7 +15,7 @@ from repro.campaign.resilience import RetryPolicy
 from repro.campaign.spec import CampaignSpec, axis, config_to_dict
 from repro.campaign.store import FailureLog, JsonlStore, MemoryStore
 from repro.errors import CampaignError
-from repro.experiments.scenario import UrbanScenarioConfig
+from repro.scenarios.urban import UrbanScenarioConfig
 
 #: A fast retry policy so chaos tests spend no wall-clock on backoff.
 FAST_RETRY = RetryPolicy(

@@ -12,7 +12,7 @@ from repro.campaign.progress import ProgressReporter
 from repro.campaign.spec import CampaignSpec, TaskSpec, axis, config_to_dict
 from repro.campaign.store import JsonlStore, MemoryStore
 from repro.errors import CampaignError
-from repro.experiments.scenario import UrbanScenarioConfig
+from repro.scenarios.urban import UrbanScenarioConfig
 
 
 def small_spec(seed: int = 55) -> CampaignSpec:

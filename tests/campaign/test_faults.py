@@ -24,7 +24,7 @@ from repro.campaign.executor import run_campaign
 from repro.campaign.resilience import RetryPolicy
 from repro.campaign.spec import CampaignSpec, axis, config_to_dict
 from repro.campaign.store import JsonlStore, MemoryStore
-from repro.experiments.scenario import UrbanScenarioConfig
+from repro.scenarios.urban import UrbanScenarioConfig
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 

@@ -1,4 +1,4 @@
-"""Report folds: sweep parity with the legacy serial path, Table-1 shapes."""
+"""Report folds: sweep parity with a direct round loop, Table-1 shapes."""
 
 from dataclasses import replace
 
@@ -16,42 +16,76 @@ from repro.campaign.report import (
 from repro.campaign.spec import CampaignSpec, config_to_dict
 from repro.campaign.store import MemoryStore
 from repro.errors import CampaignError
-from repro.experiments.multi_ap import MultiApConfig
-from repro.experiments.runner import run_urban_experiment
-from repro.experiments.scenario import UrbanScenarioConfig
-from repro.experiments.sweeps import platoon_size_spec, platoon_size_sweep
+from repro.scenarios.common import collect_matrices
+from repro.scenarios.multi_ap import MultiApConfig
+from repro.scenarios.urban import (
+    UrbanScenarioConfig,
+    build_urban_round,
+    platoon_size_points,
+)
 
 
 BASE = UrbanScenarioConfig(seed=55, round_duration_s=40.0)
 
 
+def platoon_size_spec(sizes: list[int], *, rounds: int) -> CampaignSpec:
+    """The ``platoon-size`` preset's shape over :data:`BASE`."""
+    return CampaignSpec.from_dict(
+        {
+            "name": "platoon-size",
+            "scenario": "urban",
+            "seed": BASE.seed,
+            "rounds": rounds,
+            "base": config_to_dict(BASE),
+            "axes": [
+                {"name": "platoon.n_cars", "points": platoon_size_points(sizes)}
+            ],
+        }
+    )
+
+
+def serial_sweep(sizes: list[int], *, rounds: int):
+    spec = platoon_size_spec(sizes, rounds=rounds)
+    store = MemoryStore()
+    run_campaign(spec, store, workers=1)
+    return sweep_points(store, spec)
+
+
+def direct_matrices(cfg: UrbanScenarioConfig, rounds: int):
+    """The reference: build, run and collect each round by hand."""
+    by_round = []
+    for index in range(rounds):
+        ctx = build_urban_round(cfg, index)
+        ctx.run()
+        by_round.append(collect_matrices(ctx.capture, ctx.cars))
+    return by_round
+
+
 class TestSweepParity:
-    """The acceptance bar: campaign == legacy serial sweep, bit for bit."""
+    """The acceptance bar: campaign == direct serial round loop, bit for bit."""
 
     def test_platoon_sweep_matches_legacy_serial_loop(self):
-        legacy = []
+        direct = []
         for size in [1, 2]:
             styles = tuple(
                 ("normal", "timid", "aggressive")[i % 3] for i in range(size)
             )
             cfg = replace(
                 BASE,
-                rounds=2,
                 platoon=replace(BASE.platoon, n_cars=size, driver_styles=styles),
             )
-            result = run_urban_experiment(cfg)
-            legacy.append(aggregate_matrices(result.matrices_by_round(), size))
+            direct.append(aggregate_matrices(direct_matrices(cfg, 2), size))
 
-        assert platoon_size_sweep(BASE, [1, 2], rounds=2) == legacy
+        assert serial_sweep([1, 2], rounds=2) == direct
 
     def test_parallel_store_reports_identical_points(self, tmp_path):
         from repro.campaign.store import JsonlStore
 
-        spec = platoon_size_spec(BASE, [1, 2], rounds=2)
+        spec = platoon_size_spec([1, 2], rounds=2)
         with JsonlStore(tmp_path / "s.jsonl") as store:
             run_campaign(spec, store, workers=2)
             parallel_points = sweep_points(store, spec)
-        assert parallel_points == platoon_size_sweep(BASE, [1, 2], rounds=2)
+        assert parallel_points == serial_sweep([1, 2], rounds=2)
 
 
 class TestMatricesByRound:
@@ -78,11 +112,10 @@ class TestMatricesByRound:
     def test_matches_direct_runner_output(self, executed):
         spec, store = executed
         stored = matrices_by_round(store, spec)
-        direct = run_urban_experiment(replace(BASE, rounds=2)).matrices_by_round()
-        assert stored == direct
+        assert stored == direct_matrices(BASE, 2)
 
     def test_requires_labels_when_gridded(self, tmp_path):
-        spec = platoon_size_spec(BASE, [1, 2], rounds=1)
+        spec = platoon_size_spec([1, 2], rounds=1)
         with pytest.raises(CampaignError, match="grid point"):
             matrices_by_round(MemoryStore(), spec)
 
@@ -94,7 +127,7 @@ class TestMatricesByRound:
 
 class TestIncompleteStore:
     def test_missing_row_names_point_and_round(self):
-        spec = platoon_size_spec(BASE, [1], rounds=1)
+        spec = platoon_size_spec([1], rounds=1)
         with pytest.raises(CampaignError, match="resume"):
             sweep_points(MemoryStore(), spec)
 
@@ -139,7 +172,7 @@ class TestDownloadSummaries:
             download_summaries(store, spec)
 
     def test_wrong_scenario_rejected(self):
-        spec = platoon_size_spec(BASE, [1], rounds=1)
+        spec = platoon_size_spec([1], rounds=1)
         with pytest.raises(CampaignError, match="multi_ap"):
             download_summaries(MemoryStore(), spec)
 

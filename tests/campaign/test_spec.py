@@ -13,8 +13,8 @@ from repro.campaign.spec import (
 )
 from repro.core.config import CarqConfig
 from repro.errors import CampaignError
-from repro.experiments.highway import HighwayConfig
-from repro.experiments.scenario import UrbanScenarioConfig
+from repro.scenarios.highway import HighwayConfig
+from repro.scenarios.urban import UrbanScenarioConfig
 
 
 def urban_spec(**kwargs) -> CampaignSpec:

@@ -9,7 +9,7 @@ from repro.campaign.spec import CampaignSpec, axis, config_to_dict
 from repro.campaign.store import FailureLog, JsonlStore, MetricsLog
 from repro.campaign.verify import verify_store
 from repro.errors import CampaignError
-from repro.experiments.scenario import UrbanScenarioConfig
+from repro.scenarios.urban import UrbanScenarioConfig
 
 
 def small_spec(seed: int = 55) -> CampaignSpec:

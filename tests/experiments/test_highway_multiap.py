@@ -5,12 +5,14 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.highway import HighwayConfig, run_highway_experiment
-from repro.experiments.multi_ap import (
-    MultiApConfig,
-    run_multi_ap_round,
-)
 from repro.mac.frames import NodeId
+from repro.scenarios import decode_matrix_rows, get_scenario
+from repro.scenarios.highway import HighwayConfig
+from repro.scenarios.multi_ap import (
+    MultiApConfig,
+    build_multi_ap_round,
+    collect_download_outcomes,
+)
 
 
 class TestHighwayConfig:
@@ -32,7 +34,10 @@ class TestHighwayRuns:
     @pytest.fixture(scope="class")
     def matrices(self):
         cfg = HighwayConfig(speed_ms=25.0, rounds=3, seed=5)
-        return run_highway_experiment(cfg)
+        highway = get_scenario("highway")
+        return decode_matrix_rows(
+            [highway.run_round(cfg, index) for index in range(cfg.rounds)]
+        )
 
     def test_every_round_produces_matrices(self, matrices):
         assert len(matrices) == 3
@@ -85,7 +90,9 @@ class TestMultiAp:
             rounds=1,
             seed=13,
         )
-        return run_multi_ap_round(cfg, 0)
+        ctx = build_multi_ap_round(cfg, 0)
+        ctx.run()
+        return collect_download_outcomes(ctx)
 
     def test_one_outcome_per_car(self, outcomes):
         assert {o.car for o in outcomes} == {NodeId(1), NodeId(2), NodeId(3)}

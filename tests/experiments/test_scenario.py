@@ -3,14 +3,14 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.scenario import (
-    AP_NODE_ID,
+from repro.mac.frames import NodeId
+from repro.scenarios.common import AP_NODE_ID
+from repro.scenarios.urban import (
     PlatoonConfig,
     RadioEnvironment,
     UrbanScenarioConfig,
     build_urban_round,
 )
-from repro.mac.frames import NodeId
 
 
 class TestConfigs:

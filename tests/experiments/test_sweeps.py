@@ -1,21 +1,43 @@
-"""Parameter sweeps: structural behaviour on reduced configurations."""
+"""Parameter sweeps: structural behaviour on reduced configurations.
+
+A sweep is a campaign in the shape of the urban presets, folded into
+sweep points.
+"""
 
 import pytest
 
-from dataclasses import replace
-
-from repro.experiments.scenario import UrbanScenarioConfig
-from repro.experiments.sweeps import (
+from repro.campaign import (
+    CampaignSpec,
+    GridAxis,
+    MemoryStore,
     SweepPoint,
-    bitrate_sweep,
-    hello_period_sweep,
-    platoon_size_sweep,
+    axis,
+    config_to_dict,
+    run_campaign,
+    sweep_points,
 )
+from repro.scenarios.urban import UrbanScenarioConfig, platoon_size_points
 
 
 @pytest.fixture(scope="module")
 def base():
     return UrbanScenarioConfig(seed=55)
+
+
+def sweep(
+    base: UrbanScenarioConfig, grid: GridAxis, *, rounds: int
+) -> list[SweepPoint]:
+    spec = CampaignSpec(
+        name=grid.name,
+        scenario="urban",
+        seed=base.seed,
+        rounds=rounds,
+        base=config_to_dict(base),
+        axes=(grid,),
+    )
+    store = MemoryStore()
+    run_campaign(spec, store)
+    return sweep_points(store, spec)
 
 
 class TestSweepPoint:
@@ -31,8 +53,10 @@ class TestSweepPoint:
 class TestPlatoonSizeSweep:
     @pytest.fixture(scope="class")
     def points(self, request):
-        cfg = UrbanScenarioConfig(seed=55)
-        return platoon_size_sweep(cfg, [1, 3], rounds=3)
+        sizes = GridAxis.from_dict(
+            {"name": "platoon.n_cars", "points": platoon_size_points([1, 3])}
+        )
+        return sweep(UrbanScenarioConfig(seed=55), sizes, rounds=3)
 
     def test_single_car_cannot_cooperate(self, points):
         solo = points[0]
@@ -53,8 +77,8 @@ class TestPlatoonSizeSweep:
 
 class TestBitrateSweep:
     def test_higher_rate_shrinks_window_and_raises_loss(self, base):
-        points = bitrate_sweep(base, ["dsss-1", "dsss-11"], rounds=3)
-        one, eleven = points
+        rates = axis("radio.rate_name", ["dsss-1", "dsss-11"])
+        one, eleven = sweep(base, rates, rounds=3)
         # At 11 Mb/s the reliable coverage area is much smaller: fewer
         # packets make it at all and the loss fraction in-window grows.
         assert eleven.lost_before_fraction > one.lost_before_fraction
@@ -64,6 +88,6 @@ class TestBitrateSweep:
 
 class TestHelloPeriodSweep:
     def test_runs_and_recovers_for_all_periods(self, base):
-        points = hello_period_sweep(base, [0.5, 3.0], rounds=2)
-        for point in points:
+        periods = axis("carq.hello_period_s", [0.5, 3.0])
+        for point in sweep(base, periods, rounds=2):
             assert point.lost_after_fraction < point.lost_before_fraction

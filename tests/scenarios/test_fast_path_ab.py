@@ -26,12 +26,12 @@ from repro.campaign.executor import run_campaign
 from repro.campaign.report import point_summaries
 from repro.campaign.spec import CampaignSpec, config_to_dict
 from repro.campaign.store import MemoryStore
-from repro.experiments.highway import HighwayConfig
-from repro.experiments.multi_ap import MultiApConfig
-from repro.experiments.scenario import UrbanScenarioConfig
 from repro.scenarios.bidirectional import BidirectionalConfig
+from repro.scenarios.highway import HighwayConfig
+from repro.scenarios.multi_ap import MultiApConfig
 from repro.scenarios.registry import scenario_names
 from repro.scenarios.trace import SynthTraceConfig, TraceScenarioConfig
+from repro.scenarios.urban import UrbanScenarioConfig
 
 #: One cheap-but-representative configuration per registered scenario.
 SMALL_CONFIGS = {

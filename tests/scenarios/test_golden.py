@@ -20,11 +20,28 @@ from repro.campaign.executor import run_campaign
 from repro.campaign.report import download_summaries, sweep_points
 from repro.campaign.spec import CampaignSpec, axis, config_to_dict
 from repro.campaign.store import MemoryStore
-from repro.experiments.highway import HighwayConfig
-from repro.experiments.multi_ap import MultiApConfig
-from repro.experiments.scenario import UrbanScenarioConfig
-from repro.experiments.sweeps import platoon_size_spec
 from repro.scenarios.bidirectional import BidirectionalConfig
+from repro.scenarios.highway import HighwayConfig
+from repro.scenarios.multi_ap import MultiApConfig
+from repro.scenarios.urban import UrbanScenarioConfig, platoon_size_points
+
+
+def platoon_size_spec(
+    base: UrbanScenarioConfig, sizes: list[int], *, rounds: int
+) -> CampaignSpec:
+    """The ``platoon-size`` preset's shape over *base* and *sizes*."""
+    return CampaignSpec.from_dict(
+        {
+            "name": "platoon-size",
+            "scenario": "urban",
+            "seed": base.seed,
+            "rounds": rounds,
+            "base": config_to_dict(base),
+            "axes": [
+                {"name": "platoon.n_cars", "points": platoon_size_points(sizes)}
+            ],
+        }
+    )
 
 
 def run(spec: CampaignSpec) -> MemoryStore:

@@ -7,7 +7,6 @@ from repro.campaign.report import sweep_points
 from repro.campaign.spec import CampaignSpec, config_to_dict
 from repro.campaign.store import MemoryStore
 from repro.errors import ConfigurationError
-from repro.experiments.scenario import UrbanScenarioConfig
 from repro.scenarios.highway import HighwayConfig
 from repro.scenarios.modes import (
     BASELINE_MODES,
@@ -18,7 +17,7 @@ from repro.scenarios.modes import (
     validate_mode,
 )
 from repro.scenarios.multi_ap import MultiApConfig
-from repro.scenarios.urban import build_urban_round
+from repro.scenarios.urban import UrbanScenarioConfig, build_urban_round
 
 
 class TestModeValidation:

@@ -82,11 +82,17 @@ class TestSubpackageExports:
         for name in sim.__all__:
             assert getattr(sim, name) is not None
 
-    def test_experiments_all_resolves(self):
-        import repro.experiments as experiments
+    def test_scenarios_all_resolves(self):
+        import repro.scenarios as scenarios
 
-        for name in experiments.__all__:
-            assert getattr(experiments, name) is not None
+        for name in scenarios.__all__:
+            assert getattr(scenarios, name) is not None
+
+    def test_campaign_all_resolves(self):
+        import repro.campaign as campaign
+
+        for name in campaign.__all__:
+            assert getattr(campaign, name) is not None
 
     def test_core_all_resolves(self):
         import repro.core as core
