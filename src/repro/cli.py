@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 
 from repro.analysis import (
     PAPER_TABLE1,
@@ -84,6 +85,23 @@ from repro.scenarios import (
 from repro.units import kmh_to_ms
 
 
+def _paper_command(
+    command: Callable[[argparse.Namespace], int],
+) -> Callable[[argparse.Namespace], int]:
+    """Report a :class:`ReproError` from a paper command (a campaign the
+    engine rejects, say) as ``<command>: <message>`` with exit code 2,
+    as every other subcommand does."""
+
+    def run(args: argparse.Namespace) -> int:
+        try:
+            return command(args)
+        except ReproError as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
+
+    return run
+
+
 def _run_paper_campaign(
     scenario: str, args: argparse.Namespace, axes: tuple[GridAxis, ...] = ()
 ) -> tuple[CampaignSpec, MemoryStore]:
@@ -105,6 +123,7 @@ def _run_paper_campaign(
     return spec, store
 
 
+@_paper_command
 def _cmd_table1(args: argparse.Namespace) -> int:
     spec, store = _run_paper_campaign("urban", args)
     rows = compute_table1(matrices_by_round(store, spec))
@@ -112,6 +131,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
+@_paper_command
 def _cmd_figures(args: argparse.Namespace) -> int:
     cars = [NodeId(i + 1) for i in range(3)]
     flow = NodeId(args.flow)
@@ -138,6 +158,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
+@_paper_command
 def _cmd_highway(args: argparse.Namespace) -> int:
     # The ``speed`` preset's axis: labels in km/h, overrides in m/s.
     speeds_kmh = [float(v) for v in args.speeds.split(",")]
@@ -160,6 +181,7 @@ def _cmd_highway(args: argparse.Namespace) -> int:
     return 0
 
 
+@_paper_command
 def _cmd_multi_ap(args: argparse.Namespace) -> int:
     spec, store = _run_paper_campaign("multi_ap", args)
     try:

@@ -21,7 +21,7 @@ Reception pipeline per (frame, receiver):
    both ends move at most that fast.  Every link such a
    broadcast would have looked at fails step 1's bound, and a culled
    link draws no randomness, so skipping them is exact.  The broadcast
-   still takes its ``tx_seq``, emits its trace ``on_tx`` row and marks
+   still takes its ``tx_seq``, calls the trace's ``on_tx`` hook and marks
    the transmitter's own arrivals half-duplex;
 1. bound the receiver's best-case mean power deterministically (path loss
    at current positions plus the configured shadowing headroom) and cull
@@ -209,8 +209,11 @@ class Medium:
     channel:
         Propagation model shared by all links.
     trace:
-        Optional collector with ``on_tx(...)`` / ``on_rx(...)`` methods
-        (see :mod:`repro.trace.capture`).
+        Optional collector told of every frame put on the air
+        (``on_tx(time, node, frame, rate)``) and every arrival's outcome
+        (``on_rx(time, node, frame, cause, snr_db, rx_power_dbm)``); the
+        production :class:`~repro.trace.capture.TraceCollector` keeps only
+        first data deliveries.
     fast_path:
         When true (default), the production path: broadcasts before
         their transmitter's reach horizon skip reception, receivers are
@@ -238,8 +241,8 @@ class Medium:
         composite σ of ~7 dB happens on a few percent of edge-of-range
         frames — all at least :data:`SENSITIVITY_MARGIN_DB` under the
         noise floor, so they can never deliver and are lost only as
-        potential weak interferers and trace rows.  Scenarios that need
-        the exact tail set the headroom knob
+        potential weak interferers and ``on_rx`` reports.  Scenarios that
+        need the exact tail set the headroom knob
         (``RadioEnvironment.cull_headroom_db``) higher or pass ``None``.
 
     The speed bound that widens stale-index queries and times reach
@@ -605,9 +608,10 @@ class Medium:
         once per Vec2, gains and cached thresholds alongside — and hands
         them to :func:`repro.radio.batch.broadcast_samples`, which culls
         every lane at once and draws the survivors (per lane below its
-        crossover).  They come back as aligned arrays and are admitted in
-        candidate order, so arrival ordering (and with it interference
-        pairing and event ranks) matches the scalar loop exactly.
+        crossover).  They come back as ``(candidate index, LinkSample)``
+        pairs in candidate order and are admitted in that order, so
+        arrival ordering (and with it interference pairing and event
+        ranks) matches the scalar loop exactly.
         """
         static = self._rx_static
         scratch = self._scratch
@@ -664,22 +668,14 @@ class Medium:
         spans = self._spans
         if spans is not None:
             spans.begin("batch-kernel", cat="medium", lanes=index)
-        result = broadcast_samples(
+        survivors = broadcast_samples(
             self._channel, tx_id, rx_ids, tx_pos,
             xs[:index], ys[:index], rx_gains[:index], rx_floors[:index],
             tx_power, self._cull_headroom_db, now, tx_seq,
         )
         if spans is not None:
-            spans.end(kept=len(result.kept))
-        rx_power = result.rx_power_dbm.tolist()
-        mean_power = result.mean_rx_power_dbm.tolist()
-        distance = result.distance_m.tolist()
-        for j, i in enumerate(result.kept.tolist()):
-            sample = LinkSample(
-                rx_power_dbm=rx_power[j],
-                mean_rx_power_dbm=mean_power[j],
-                distance_m=distance[j],
-            )
+            spans.end(kept=len(survivors))
+        for i, sample in survivors:
             self._admit_arrival(
                 rx_ifaces[i], _Arrival(frame, rate, sample, now, end), finishing
             )

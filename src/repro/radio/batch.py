@@ -5,8 +5,10 @@ candidate receiver set: deterministic link budgets and the reachability
 cull run as a handful of NumPy operations over every candidate lane,
 then the survivors' Gudmundson lattice shadowing, keyed fading and
 sensitivity filter run either vectorized or per lane, whichever is
-cheaper for that many survivors.  It exists because PR 3's keyed
-counter-based randomness made every stochastic draw a *pure function* of
+cheaper for that many survivors.  The receivers that pass come back as
+``(candidate index, LinkSample)`` pairs in candidate order, ready for the
+medium to admit.  It exists because the keyed counter-based randomness
+made every stochastic draw a *pure function* of
 ``(link, transmission)``: with no hidden stream state, the candidate set
 can be evaluated in any grouping, so batching is free of semantic risk
 and the kernel is pinned **bit-identical** to the scalar reference path
@@ -53,36 +55,13 @@ import numpy as np
 
 from repro.geom import Vec2
 
-from repro.radio.channel import Channel
+from repro.radio.channel import Channel, LinkSample
 
 #: Survivors of the reachability cull below which each one is drawn by
 #: the scalar channel path instead of one vectorized pass: the measured
 #: break-even on the corridor and highway channel stacks (see above).
 #: It must stay above 8, so that the 8-vehicle trace round draws per lane.
 DRAW_CROSSOVER = 16
-
-
-class BroadcastBatch(typing.NamedTuple):
-    """Per-candidate outcome of one batched broadcast evaluation.
-
-    ``kept`` holds the indices (into the candidate arrays handed to
-    :func:`broadcast_samples`, ascending) of receivers that passed both
-    the reachability bound and the sensitivity filter; the three float
-    arrays are aligned with it.
-    """
-
-    kept: np.ndarray
-    rx_power_dbm: np.ndarray
-    mean_rx_power_dbm: np.ndarray
-    distance_m: np.ndarray
-
-
-_EMPTY = BroadcastBatch(
-    np.empty(0, dtype=np.intp),
-    np.empty(0),
-    np.empty(0),
-    np.empty(0),
-)
 
 
 class LaneScratch:
@@ -128,10 +107,13 @@ def broadcast_samples(
     headroom_db: float,
     time: float,
     tx_seq: int,
-) -> BroadcastBatch:
+) -> list[tuple[int, LinkSample]]:
     """Evaluate one broadcast against its whole candidate set.
 
-    Mirrors the medium's scalar per-receiver pipeline exactly:
+    Returns the receivers that pass as ``(index, sample)`` pairs in
+    ascending candidate index (an index into *rx_ids* and the lane
+    arrays).  It mirrors the medium's scalar per-receiver pipeline
+    exactly:
 
     1. deterministic link budget (path loss + obstruction) per candidate;
     2. reachability bound ``tx_power + gain - loss + headroom ≥
@@ -147,14 +129,17 @@ def broadcast_samples(
     scalar :meth:`Channel.sample` per lane; the keyed draws make each
     lane's value independent of that grouping.  A channel that overrides
     :meth:`Channel.sample` (a scripted realisation) is drawn per lane at
-    any survivor count, so the override is honoured.
+    any survivor count, so the override is honoured.  Per-lane draws
+    hand over the samples :meth:`Channel.sample` returned; a vectorized
+    draw builds each sample from its lane's float64 values, which
+    ``tolist()`` converts exactly.
     """
     budget = channel.link_budget_batch(tx_pos, rx_xs, rx_ys)
     distances, losses = budget
     reachable = tx_power_dbm + rx_gains_db - losses + headroom_db >= rx_thresholds_dbm
     idx = np.flatnonzero(reachable)
     if idx.size == 0:
-        return _EMPTY
+        return []
     if idx.size < DRAW_CROSSOVER or type(channel).sample is not Channel.sample:
         return _draw_per_lane(
             channel, tx_id, rx_ids, tx_pos, rx_xs, rx_ys, rx_gains_db,
@@ -175,7 +160,13 @@ def broadcast_samples(
     )
     keep = mean_power >= rx_thresholds_dbm[idx]
     kept = idx[keep]
-    return BroadcastBatch(kept, rx_power[keep], mean_power[keep], distances[kept])
+    samples = map(
+        LinkSample,
+        rx_power[keep].tolist(),
+        mean_power[keep].tolist(),
+        distances[kept].tolist(),
+    )
+    return list(zip(kept.tolist(), samples))
 
 
 def _draw_per_lane(
@@ -192,7 +183,7 @@ def _draw_per_lane(
     tx_seq: int,
     idx: np.ndarray,
     budget: tuple[np.ndarray, np.ndarray],
-) -> BroadcastBatch:
+) -> list[tuple[int, LinkSample]]:
     """Steps 3–4 for a few survivors: one scalar draw per lane.
 
     ``tolist()`` yields the lanes' exact float64 values as Python
@@ -205,10 +196,7 @@ def _draw_per_lane(
     thresholds = rx_thresholds_dbm.tolist()
     distances = budget[0].tolist()
     losses = budget[1].tolist()
-    kept: list[int] = []
-    rx_power: list[float] = []
-    mean_power: list[float] = []
-    kept_distances: list[float] = []
+    survivors: list[tuple[int, LinkSample]] = []
     for i in idx.tolist():
         sample = channel.sample(
             tx_id,
@@ -222,15 +210,5 @@ def _draw_per_lane(
             budget=(distances[i], losses[i]),
         )
         if sample.mean_rx_power_dbm >= thresholds[i]:
-            kept.append(i)
-            rx_power.append(sample.rx_power_dbm)
-            mean_power.append(sample.mean_rx_power_dbm)
-            kept_distances.append(sample.distance_m)
-    if not kept:
-        return _EMPTY
-    return BroadcastBatch(
-        np.array(kept, dtype=np.intp),
-        np.array(rx_power),
-        np.array(mean_power),
-        np.array(kept_distances),
-    )
+            survivors.append((i, sample))
+    return survivors

@@ -23,7 +23,8 @@ from repro.radio.channel import Channel
 from repro.radio.pathloss import LogDistancePathLoss
 from repro.radio.phy import RadioConfig
 from repro.sim import Simulator
-from repro.trace.capture import TraceCollector
+
+from tests.trace.recording import RecordingCollector
 
 AP = NodeId(100)
 
@@ -88,7 +89,7 @@ def fast_config(**overrides):
 def make_testbed(n_cars=3, config=None, payload=200, rate_hz=5.0, seed=1):
     sim = Simulator(seed=seed)
     channel = ScriptedChannel(sim)
-    capture = TraceCollector()
+    capture = RecordingCollector()
     medium = Medium(sim, channel, trace=capture)
     car_ids = [NodeId(i + 1) for i in range(n_cars)]
     flows = [

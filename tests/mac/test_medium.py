@@ -17,7 +17,8 @@ from repro.radio.modulation import rate_by_name
 from repro.radio.pathloss import LogDistancePathLoss
 from repro.radio.phy import RadioConfig
 from repro.sim import Simulator
-from repro.trace.capture import TraceCollector
+
+from tests.trace.recording import RecordingCollector
 
 RATE = rate_by_name("dsss-1")
 
@@ -120,7 +121,7 @@ class TestInterference:
         assert received == []
 
     def test_collision_recorded_as_interference(self):
-        trace = TraceCollector()
+        trace = RecordingCollector()
         sim, medium, (a, b, c) = make_net(
             [Vec2(0, 0), Vec2(20, 0), Vec2(40, 0)], trace=trace
         )
@@ -143,7 +144,7 @@ class TestInterference:
 
 class TestHalfDuplex:
     def test_receiver_transmitting_loses_arrival(self):
-        trace = TraceCollector()
+        trace = RecordingCollector()
         sim, medium, (a, b) = make_net([Vec2(0, 0), Vec2(20, 0)], trace=trace)
         received = []
         b.add_receive_callback(lambda frame, info: received.append(frame))
@@ -221,7 +222,7 @@ class TestQueue:
 
 class TestTraceHooks:
     def test_tx_and_rx_recorded(self):
-        trace = TraceCollector()
+        trace = RecordingCollector()
         sim, _, (a, b) = make_net([Vec2(0, 0), Vec2(20, 0)], trace=trace)
         a.send(data_frame(a.node_id, b.node_id, 7))
         sim.run()
@@ -259,7 +260,7 @@ class TestReceptionFastPath:
 
     def run_grid(self, *, fast_path):
         """A 30-node line network: one broadcast from the west end."""
-        trace = TraceCollector()
+        trace = RecordingCollector()
         sim, _, ifaces = make_net(
             [Vec2(60.0 * index, 0.0) for index in range(30)],
             trace=trace, seed=7, fast_path=fast_path,
@@ -269,7 +270,10 @@ class TestReceptionFastPath:
         return [(r.node, r.cause, r.snr_db, r.rx_power_dbm) for r in trace.rx_records]
 
     def test_fast_and_exhaustive_records_identical(self):
-        assert self.run_grid(fast_path=True) == self.run_grid(fast_path=False)
+        records = self.run_grid(fast_path=True)
+        # The log must hold the broadcast's arrivals, deliveries included.
+        assert LossCause.DELIVERED in {cause for _, cause, *_ in records}
+        assert records == self.run_grid(fast_path=False)
 
     def test_fast_path_culls_far_receivers(self):
         records = self.run_grid(fast_path=True)
@@ -281,7 +285,7 @@ class TestReceptionFastPath:
         """Removing a distant interface must not change near outcomes."""
 
         def run(with_far_node):
-            trace = TraceCollector()
+            trace = RecordingCollector()
             positions = [Vec2(0, 0), Vec2(30, 0)]
             if with_far_node:
                 positions.append(Vec2(80_000, 0))
@@ -290,7 +294,9 @@ class TestReceptionFastPath:
             sim.run()
             return [(r.node, r.snr_db, r.rx_power_dbm) for r in trace.rx_records]
 
-        assert run(True) == run(False)
+        near = run(False)
+        assert [node for node, *_ in near] == [NodeId(2)]  # the near link's arrival
+        assert run(True) == near
 
 
 class TestBatchKernel:
@@ -326,7 +332,7 @@ class TestBatchKernel:
                 rng=sim.streams.get("channel"),
             )
 
-        trace = TraceCollector()
+        trace = RecordingCollector()
         rate = rate_by_name("dsss-11")
         if positions is None:
             positions = [Vec2(55.0 * i, (i % 3) * 7.0) for i in range(30)]
@@ -391,7 +397,7 @@ class TestBatchKernel:
     def test_small_candidate_sets_use_scalar_loop(self):
         # Below BATCH_MIN_CANDIDATES the scalar loop runs — delivery
         # still works end to end.
-        trace = TraceCollector()
+        trace = RecordingCollector()
         sim, medium, ifaces = make_net([Vec2(0, 0), Vec2(30, 0)], trace=trace)
         ifaces[0].send(data_frame(ifaces[0].node_id, ifaces[1].node_id))
         sim.run()
@@ -408,7 +414,7 @@ class TestBatchKernel:
         """
 
         def received_counts(*, fast_path):
-            trace = TraceCollector()
+            trace = RecordingCollector()
             sim, medium, ifaces = make_net(
                 [Vec2(12.0 * i, 0.0) for i in range(12)], trace=trace,
                 fast_path=fast_path,
@@ -437,7 +443,7 @@ class TestBatchKernel:
         # queries each model per candidate.  Records must match bit for
         # bit.
         def records(fast_path):
-            trace = TraceCollector()
+            trace = RecordingCollector()
             track = Polyline([Vec2(0, 0), Vec2(8000, 0)])
             sim, medium, ifaces = make_net(
                 [
@@ -512,7 +518,7 @@ class TestBatchKernel:
         mid-flight, on the production path and the oracle alike."""
 
         def causes(fast_path):
-            trace = TraceCollector()
+            trace = RecordingCollector()
             sim, medium, (a, b, c) = make_net(
                 [Vec2(25.0 * i, 0.0) for i in range(3)], trace=trace, seed=2,
                 fast_path=fast_path,
@@ -558,7 +564,7 @@ class TestBatchKernel:
             )
 
         def records(fast_path):
-            trace = TraceCollector()
+            trace = RecordingCollector()
             sim, medium, ifaces = make_net(
                 [Vec2(10.0 * i, 0.0) for i in range(n_radios)], trace=trace,
                 seed=9, fast_path=fast_path, channel=scripted_channel,
@@ -581,7 +587,7 @@ class TestBatchKernel:
 
         def spy(*args):
             result = kernel(*args)
-            survivors.append(len(result.kept))
+            survivors.append(len(result))
             return result
 
         monkeypatch.setattr(medium_module, "broadcast_samples", spy)
@@ -610,7 +616,7 @@ class TestReachHorizon:
         """A lone static beacon; a receiver drives in from 5 km at
         100 m/s, the speed bound.  Returns (rx rows, unheard broadcasts)."""
         with obs.instrumented():
-            trace = TraceCollector()
+            trace = RecordingCollector()
             road = Polyline([Vec2(5000, 0), Vec2(20, 0)])
             sim, medium, (beacon, _) = make_net(
                 [Vec2(0, 0), PathMobility(road, 100.0)], trace=trace, seed=4,
@@ -636,7 +642,7 @@ class TestReachHorizon:
     def test_radio_attached_mid_run_is_heard_by_next_broadcast(self):
         def run(fast_path):
             with obs.instrumented():
-                trace = TraceCollector()
+                trace = RecordingCollector()
                 sim, medium, (beacon,) = make_net(
                     [Vec2(0, 0)], trace=trace, fast_path=fast_path
                 )
@@ -679,7 +685,7 @@ class TestSpeedBoundFromMobility:
     """
 
     def _pass_records(self, n_static, hide_speed, *, fast_path):
-        trace = TraceCollector()
+        trace = RecordingCollector()
         xs = [1500.0] if n_static == 1 else [200.0 * i for i in range(n_static)]
         road = Polyline([Vec2(-1500, 30), Vec2(4500, 30)])
         leg = TraceMobility(road, [0.0, 10.0, 10.5, 20.0], [0.0, 0.0, 6000.0, 6000.0])

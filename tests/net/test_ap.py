@@ -14,7 +14,8 @@ from repro.radio.channel import Channel
 from repro.radio.pathloss import LogDistancePathLoss
 from repro.radio.phy import RadioConfig
 from repro.sim import Simulator
-from repro.trace.capture import TraceCollector
+
+from tests.trace.recording import RecordingCollector
 
 AP = NodeId(100)
 CAR1, CAR2 = NodeId(1), NodeId(2)
@@ -22,7 +23,7 @@ CAR1, CAR2 = NodeId(1), NodeId(2)
 
 def make_ap(flows, *, jitter=0.0, retx=None, seed=0):
     sim = Simulator(seed=seed)
-    trace = TraceCollector()
+    trace = RecordingCollector()
     channel = Channel(
         pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
         rng=sim.streams.get("channel"),
@@ -83,6 +84,7 @@ class TestStreaming:
         ap.start()
         sim.run(until=1.0)
         seqs = [t.frame.seq for t in trace.tx_records if isinstance(t.frame, DataFrame)]
+        assert len(seqs) >= 9  # one second at 10 Hz
         assert seqs == list(range(100, 100 + len(seqs)))
 
     def test_two_flows_independent(self):
@@ -98,6 +100,7 @@ class TestStreaming:
         for record in trace.tx_records:
             if isinstance(record.frame, DataFrame):
                 per_flow[record.frame.flow_dst] += 1
+        assert per_flow[CAR1] >= 18  # four seconds at 5 Hz
         assert per_flow[CAR2] == pytest.approx(2 * per_flow[CAR1], abs=3)
 
     def test_jitter_keeps_intervals_near_nominal(self):
@@ -110,6 +113,7 @@ class TestStreaming:
             t.time for t in trace.tx_records if isinstance(t.frame, DataFrame)
         ]
         gaps = [b - a for a, b in zip(times, times[1:])]
+        assert len(gaps) >= 95  # twenty seconds at 5 Hz
         assert all(0.15 <= gap <= 0.25 for gap in gaps)
 
     def test_last_seq_sent_tracked(self):
@@ -140,5 +144,6 @@ class TestRetransmissionPolicy:
         ap.start()
         sim.run(until=2.4)
         seqs = [t.frame.seq for t in trace.tx_records if isinstance(t.frame, DataFrame)]
+        assert set(seqs) == {1, 2, 3, 4, 5}  # 2.4 s at 2 Hz
         for seq in set(seqs):
             assert seqs.count(seq) == 3

@@ -377,14 +377,8 @@ class TestChannelBatchParity:
         kept = _scalar_pipeline(
             channel, tx, rxs, thresholds.tolist(), headroom, tx_seq
         )
-        assert result.kept.tolist() == [i for i, _ in kept]
-        assert result.rx_power_dbm.tolist() == [
-            s.rx_power_dbm for _, s in kept
-        ]
-        assert result.mean_rx_power_dbm.tolist() == [
-            s.mean_rx_power_dbm for _, s in kept
-        ]
-        assert result.distance_m.tolist() == [s.distance_m for _, s in kept]
+        # LinkSample equality compares every field with float ==.
+        assert result == kept
 
 
 class TestDrawCrossover:
@@ -392,8 +386,9 @@ class TestDrawCrossover:
 
     Below it the kernel draws each survivor of the cull with the scalar
     ``Channel.sample``; at and above it, in one vectorized pass.  Either
-    way its arrays equal the scalar pipeline run on an independent
-    channel of the same seed, so no memo is shared with the kernel.
+    way its ``(lane, LinkSample)`` pairs equal the scalar pipeline's, run
+    on an independent channel of the same seed, so no memo is shared with
+    the kernel.
     """
 
     @staticmethod
@@ -448,17 +443,11 @@ class TestDrawCrossover:
             _full_channel(seed), tx, rxs, thresholds.tolist(), headroom, tx_seq
         )
         assert 0 < len(kept) < reachable  # the sensitivity filter bites
-        assert result.kept.dtype == np.intp
-        assert result.kept.tolist() == [i for i, _ in kept]
-        assert result.rx_power_dbm.tolist() == [s.rx_power_dbm for _, s in kept]
-        assert result.mean_rx_power_dbm.tolist() == [
-            s.mean_rx_power_dbm for _, s in kept
-        ]
-        assert result.distance_m.tolist() == [s.distance_m for _, s in kept]
+        assert result == kept
 
     def test_no_survivor_after_the_sensitivity_filter(self):
         # Reachable (inside the 12 dB headroom) but below sensitivity on
-        # every draw: both branches return the shared empty batch.
+        # every draw: both branches return no pairs.
         tx = Vec2(0.0, 0.0)
         for reachable in (DRAW_CROSSOVER - 1, DRAW_CROSSOVER):
             xs = np.full(reachable, 560.0)
@@ -471,8 +460,7 @@ class TestDrawCrossover:
                 np.zeros(reachable), np.full(reachable, -105.0),
                 17.0, 12.0, 0.0, 1,
             )
-            assert result.kept.tolist() == []
-            assert result.kept.dtype == np.intp
+            assert result == []
 
 
 class TestSimpleModelsBatch:

@@ -46,6 +46,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "km/h" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table1", "--rounds", "0"], "at least one round"),
+            (["figures", "--rounds", "0", "--flow", "2"], "at least one round"),
+            (["highway", "--speeds", "80", "--rounds", "0"], "at least one round"),
+            (["multi-ap", "--rounds", "0"], "at least one round"),
+            (["highway", "--speeds=-5", "--rounds", "1"], "speed must be positive"),
+        ],
+        ids=["table1", "figures", "highway", "multi-ap", "highway-quarantined"],
+    )
+    def test_rejected_campaign_is_an_error_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{argv[0]}: ")
+        assert message in captured.err
+
 
 class TestProfileCommand:
     def test_profile_runs_and_prints_hot_spots(self, capsys):
