@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Callable
 
@@ -156,6 +157,27 @@ def _cmd_figures(args: argparse.Namespace) -> int:
           f"(optimality gap {optimality_gap(matrices):.4f})")
     print(ascii_plot([cc.joint.smoothed(7), cc.after_coop.smoothed(7)]))
     return 0
+
+
+def _speed_list(text: str) -> str:
+    """The ``--speeds`` argument type: comma-separated finite numbers.
+
+    Returns *text* unchanged for :func:`_cmd_highway` to split.  A speed
+    that is not above 0 is left to the highway config's check, which
+    names the value it rejects in the campaign's error line.
+    """
+    for entry in text.split(","):
+        try:
+            value = float(entry)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{entry!r} in {text!r} is not a number"
+            ) from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(
+                f"{entry!r} in {text!r} is not a finite number"
+            )
+    return text
 
 
 @_paper_command
@@ -727,7 +749,10 @@ def build_parser() -> argparse.ArgumentParser:
     figures.set_defaults(func=_cmd_figures)
 
     highway = sub.add_parser("highway", help="drive-thru speed sweep")
-    highway.add_argument("--speeds", default="40,80,120", help="km/h, comma-separated")
+    highway.add_argument(
+        "--speeds", type=_speed_list, default="40,80,120",
+        help="km/h, comma-separated",
+    )
     highway.add_argument("--rounds", type=int, default=3)
     highway.add_argument("--seed", type=int, default=404)
     highway.set_defaults(func=_cmd_highway)

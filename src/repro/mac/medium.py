@@ -22,7 +22,13 @@ Reception pipeline per (frame, receiver):
    broadcast would have looked at fails step 1's bound, and a culled
    link draws no randomness, so skipping them is exact.  The broadcast
    still takes its ``tx_seq``, calls the trace's ``on_tx`` hook and marks
-   the transmitter's own arrivals half-duplex;
+   the transmitter's own arrivals half-duplex.  Past its horizon, a
+   fixed transmitter (one whose model's top speed is 0) skips the fixed
+   receivers in its cull verdict: those that failed step 1's bound when
+   it was evaluated once, at the transmitter's first full-path
+   broadcast since the last attach.  Neither end moves and every other
+   term of the bound is fixed at attach, so they fail it on every
+   broadcast until the next attach, which drops every verdict;
 1. bound the receiver's best-case mean power deterministically (path loss
    at current positions plus the configured shadowing headroom) and cull
    the link if it can never clear the noise floor minus
@@ -217,8 +223,10 @@ class Medium:
     fast_path:
         When true (default), the production path: broadcasts before
         their transmitter's reach horizon skip reception, receivers are
-        found through the spatial neighbor index, hopeless links are culled
-        before sampling, and candidate sets of at least
+        found through the spatial neighbor index, a fixed transmitter
+        skips the fixed receivers its cull verdict found unreachable,
+        hopeless links are culled before sampling, and candidate sets of
+        at least
         :data:`BATCH_MIN_CANDIDATES` are culled by the batch kernel
         (:mod:`repro.radio.batch`) — one NumPy pass over the whole set
         instead of a per-receiver Python loop.  When false, the
@@ -248,7 +256,9 @@ class Medium:
     The speed bound that widens stale-index queries and times reach
     horizons comes from the radios: it starts at 0, and :meth:`attach`
     raises it to each attached model's top speed (unbounded for a model
-    that reports none).
+    that reports none).  :meth:`attach` also drops every fixed
+    transmitter's cull verdict, which the next full-path broadcast of
+    that transmitter evaluates again.
     """
 
     __slots__ = (
@@ -271,6 +281,7 @@ class Medium:
         "_reach_radius_m",
         "_tx_radius_m",
         "_horizons",
+        "_verdicts",
     )
 
     def __init__(
@@ -297,13 +308,14 @@ class Medium:
         self._ongoing: dict[NetworkInterface, list[_Arrival]] = {}
         # Attach-order rank per interface, cached off the hot path.
         self._attach_rank: dict[NetworkInterface, int] = {}
-        # (node id, antenna gain, threshold, mobility batch key, mobility)
-        # per interface — the attach-time snapshot both reception paths
-        # read: one probe per candidate instead of attribute chases and
-        # a batch_key() call per candidate per broadcast.
+        # (node id, antenna gain, threshold, mobility batch key, mobility,
+        # fixed) per interface — the attach-time snapshot both reception
+        # paths read: one probe per candidate instead of attribute chases
+        # and a batch_key() call per candidate per broadcast.  Fixed: the
+        # model's top speed is 0, so the radio never leaves its position.
         self._rx_static: dict[
             NetworkInterface,
-            tuple[typing.Hashable, float, float, object, object],
+            tuple[typing.Hashable, float, float, object, object, bool],
         ] = {}
         # Observability snapshot (see repro.obs): probe bundle + tracer
         # are captured here, so enable/install before building the medium.
@@ -321,6 +333,13 @@ class Medium:
         # means no other radio can be in reach before that time; a
         # transmitter in reach keeps the full path until its next scan.
         self._horizons: dict[NetworkInterface, tuple[float, bool]] = {}
+        # Per fixed transmitter, its cull verdict over the fixed
+        # receivers: (attach-order candidates without the receivers that
+        # fail the bound, those receivers).
+        self._verdicts: dict[
+            NetworkInterface,
+            tuple[list[NetworkInterface], set[NetworkInterface]],
+        ] = {}
 
     def attach(self, iface: "NetworkInterface") -> None:
         """Register an interface.  Each interface joins exactly one medium.
@@ -331,9 +350,11 @@ class Medium:
         so a mid-run swap would silently keep the attach-time values.
         Positions stay live: the model is queried per broadcast.  The
         speed bound rises to the model's top speed if that is higher
-        (unbounded if the model reports none); it is never lowered.
-        Every attach rebuilds the neighbor index and drops every reach
-        horizon.
+        (unbounded if the model reports none); it is never lowered.  A
+        model whose top speed is 0 makes the radio fixed, which is read
+        here only, never per broadcast.  Every attach rebuilds the
+        neighbor index and drops every reach horizon and every fixed
+        transmitter's cull verdict.
         """
         if iface in self._ongoing:
             raise MacError(f"interface {iface.name!r} already attached")
@@ -342,22 +363,25 @@ class Medium:
         self._ongoing[iface] = []
         threshold = iface.config.noise_floor_dbm - SENSITIVITY_MARGIN_DB
         mobility = iface.mobility
+        top_speed = mobility.max_speed_ms()
         self._rx_static[iface] = (
             iface.node_id,
             iface.config.antenna_gain_db,
             threshold,
             mobility.batch_key(),
             mobility,
+            top_speed == 0.0,
         )
-        top_speed = mobility.max_speed_ms()
         self._max_speed_ms = max(
             self._max_speed_ms, math.inf if top_speed is None else top_speed
         )
-        # The topology changed: rebuild the index, rescan every horizon.
+        # The topology changed: rebuild the index, rescan every horizon,
+        # re-bound every fixed pair.
         self._index_version += 1
         self._reach_radius_m = None
         self._tx_radius_m.clear()
         self._horizons.clear()
+        self._verdicts.clear()
 
     # -- candidate discovery --------------------------------------------------
 
@@ -369,7 +393,7 @@ class Medium:
             iface.config.antenna_gain_db for iface in self._interfaces
         )
         min_threshold = min(
-            threshold for _, _, threshold, _, _ in self._rx_static.values()
+            threshold for _, _, threshold, _, _, _ in self._rx_static.values()
         )
         max_loss = best - min_threshold + self._cull_headroom_db
         if not math.isfinite(max_loss):
@@ -420,21 +444,20 @@ class Medium:
         self._horizons[tx_iface] = horizon
         return horizon
 
-    def _candidates(self, tx_iface: "NetworkInterface", tx_pos: "Vec2") -> list:
-        """Receivers that could possibly pass the reachability bound.
+    def _fresh_index(self) -> _NeighborIndex | None:
+        """The neighbor index, rebuilt once it is older than
+        :data:`NEIGHBOR_REFRESH_S`.
 
-        Returns a superset of the bound-passing set, in attach order (the
-        per-pair bound in :meth:`transmit` does the exact cull).  Under an
-        unbounded speed no stale snapshot bounds anyone, so every
-        interface is a candidate.
+        ``None`` where candidate discovery skips it: below
+        :data:`NEIGHBOR_INDEX_MIN_NODES` radios, under an unbounded speed
+        (no stale snapshot bounds anyone), or without a finite reach.
         """
         interfaces = self._interfaces
         if (
-            not self._fast_path
-            or len(interfaces) < NEIGHBOR_INDEX_MIN_NODES
+            len(interfaces) < NEIGHBOR_INDEX_MIN_NODES
             or self._max_speed_ms == math.inf
         ):
-            return interfaces
+            return None
         # Grid cells are a quarter of the strongest radio's reach (a
         # bucket-count / query-precision sweet spot); queries use the
         # transmitter's own (possibly much shorter) reach.
@@ -447,8 +470,7 @@ class Medium:
                 / 4.0
             )
         if not math.isfinite(cell):
-            return interfaces
-        radius = self._tx_reach_m(tx_iface.config.tx_power_dbm)
+            return None
         now = self._sim.now
         index = self._index
         if (
@@ -459,10 +481,92 @@ class Medium:
             index = self._index = _NeighborIndex(
                 interfaces, cell, now, self._index_version
             )
-        slack = self._max_speed_ms * (now - index.built_at)
-        found = index.query(tx_pos, radius + slack)
-        if len(found) >= len(interfaces):
+        return index
+
+    def _fixed_verdict(
+        self,
+        tx_iface: "NetworkInterface",
+        tx_pos: "Vec2",
+        index: _NeighborIndex | None,
+    ) -> tuple[list["NetworkInterface"], set["NetworkInterface"]]:
+        """A fixed transmitter's cull verdict: ``(candidates, unreachable)``.
+
+        Bounds each fixed receiver that discovery can offer once, with
+        the scalar :meth:`Channel.link_budget` at both fixed positions
+        (the call the oracle makes), and collects those that fail step
+        1's bound.  Both ends and every term of the bound stay as they
+        are until the next attach, which drops the verdict, so they fail
+        it on every broadcast until then.  Without an *index*, discovery
+        offers every radio.  With one, a fixed receiver falls in the same
+        cell at every rebuild, and no query reaches past the
+        transmitter's reach plus the speed bound times the index's
+        greatest age, so one query that wide offers every fixed receiver
+        that a later query can.  ``candidates`` is the attach-order
+        interface list without the unreachable ones; like every
+        candidate list, it keeps the transmitter.
+        """
+        tx_power = tx_iface.config.tx_power_dbm
+        offered = self._interfaces
+        if index is not None:
+            offered = index.query(
+                tx_pos,
+                self._tx_reach_m(tx_power)
+                + self._max_speed_ms * NEIGHBOR_REFRESH_S,
+            )
+        static = self._rx_static
+        budget = self._channel.link_budget
+        # Term for term the bound of transmit() and the batch kernel, so
+        # each verdict is the float comparison they would make.
+        headroom = self._cull_headroom_db
+        unreachable: set[NetworkInterface] = set()
+        for rx_iface in offered:
+            if rx_iface is tx_iface:
+                continue
+            _, rx_gain, threshold, _, _, fixed = static[rx_iface]
+            if (
+                fixed
+                and tx_power + rx_gain - budget(tx_pos, rx_iface.position())[1]
+                + headroom < threshold
+            ):
+                unreachable.add(rx_iface)
+        candidates = [
+            iface for iface in self._interfaces if iface not in unreachable
+        ]
+        verdict = self._verdicts[tx_iface] = (candidates, unreachable)
+        return verdict
+
+    def _candidates(self, tx_iface: "NetworkInterface", tx_pos: "Vec2") -> list:
+        """Receivers that could possibly pass the reachability bound.
+
+        Returns a superset of the bound-passing set, in attach order (the
+        per-pair bound in :meth:`transmit` does the exact cull).  A fixed
+        transmitter's set leaves out the fixed receivers its verdict
+        found unreachable.  Without the neighbor index (see
+        :meth:`_fresh_index`) every interface left is a candidate;
+        otherwise the index narrows the set to the transmitter's reach,
+        widened by how far any radio may have moved since the index was
+        built.
+        """
+        interfaces = self._interfaces
+        if not self._fast_path:
             return interfaces
+        index = self._fresh_index()
+        candidates = interfaces
+        unreachable = None
+        if self._rx_static[tx_iface][5]:
+            verdict = self._verdicts.get(tx_iface)
+            if verdict is None:
+                verdict = self._fixed_verdict(tx_iface, tx_pos, index)
+            candidates, unreachable = verdict
+        if index is None:
+            return candidates
+        radius = self._tx_reach_m(tx_iface.config.tx_power_dbm)
+        slack = self._max_speed_ms * (self._sim.now - index.built_at)
+        found = index.query(tx_pos, radius + slack)
+        if unreachable:
+            found = [iface for iface in found if iface not in unreachable]
+        if len(found) >= len(candidates):
+            return candidates
         rank = self._attach_rank
         found.sort(key=rank.__getitem__)
         return found
@@ -532,7 +636,7 @@ class Medium:
                     continue
                 # Same attach-time snapshot the batch gather reads, so
                 # the two paths can never disagree about radio params.
-                _, rx_gain, threshold, _, _ = static[rx_iface]
+                _, rx_gain, threshold, _, _, _ = static[rx_iface]
                 rx_pos = rx_iface.position()
                 budget = channel.link_budget(tx_pos, rx_pos)
                 reachable = tx_power + rx_gain - budget[1] + headroom >= threshold
@@ -630,7 +734,7 @@ class Medium:
             if rx_iface is tx_iface:
                 continue
             rx_ifaces.append(rx_iface)
-            node_id, gain, floor, key, mobility = static[rx_iface]
+            node_id, gain, floor, key, mobility, _ = static[rx_iface]
             rx_ids.append(node_id)
             rx_gains[index] = gain
             rx_floors[index] = floor

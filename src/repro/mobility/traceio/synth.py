@@ -54,10 +54,17 @@ def synth_traces(
     """
     if vehicles < 1:
         raise TraceFormatError("synth needs at least one vehicle")
-    if duration_s <= 0.0 or tick_s <= 0.0:
-        raise TraceFormatError("synth duration and tick must be positive")
-    if road_length_m <= 0.0 or mean_speed_ms <= 0.0:
-        raise TraceFormatError("synth road length and speed must be positive")
+    for name, value in (
+        ("duration_s", duration_s),
+        ("tick_s", tick_s),
+        ("road_length_m", road_length_m),
+        ("mean_speed_ms", mean_speed_ms),
+    ):
+        # Written so that NaN fails it too.
+        if not 0.0 < value < math.inf:
+            raise TraceFormatError(
+                f"synth {name} must be positive and finite, got {value!r}"
+            )
     if not 0.0 <= speed_jitter < 1.0:
         raise TraceFormatError("speed_jitter must be in [0, 1)")
     if lanes < 1:

@@ -117,6 +117,12 @@ class Channel:
         ``base_loss_db`` is path loss plus obstruction; shadowing and
         fading are not included, so ``tx_power + rx_gain - base_loss_db``
         is the link's mean received power before any stochastic draw.
+
+        It must be a pure function of the two positions, and so must an
+        override.  The oracle, the batch kernel and the medium's cull
+        verdict for fixed radios all rely on that: the oracle and the
+        kernel get the same budget for the same pair, and a verdict
+        taken once holds for as long as both ends stay where they are.
         """
         distance = tx_pos.distance_to(rx_pos)
         loss = self.pathloss.loss_db(distance)

@@ -213,65 +213,3 @@ class TwoRayGroundPathLoss(PathLossModel):
             return min(self._free_space.range_for_loss(loss_db), crossover)
         return 10.0 ** ((loss_db + self._height_gain_db) / 40.0)
 
-
-class MemoizedPathLoss(PathLossModel):
-    """Caches :meth:`loss_db` by exact distance for static-topology reuse.
-
-    Static node pairs (the multi-AP infostations, the urban testbed's
-    window AP) query the same bit-identical distances every frame; so do
-    regularly spaced geometries, whose distinct inter-node distances
-    collapse to a handful of values.  The cache is exact (keyed on the
-    float distance), so wrapping a model never changes results — a miss
-    simply delegates.  When the cache fills (mobile workloads produce
-    unbounded distinct distances) it is dropped wholesale; hot static
-    entries re-populate within a frame.
-    """
-
-    __slots__ = ("model", "max_entries", "_cache",)
-
-    def __init__(self, model: PathLossModel, *, max_entries: int = 65536) -> None:
-        if max_entries <= 0:
-            raise RadioError("memoized path loss needs a positive capacity")
-        self.model = model
-        self.max_entries = max_entries
-        self._cache: dict[float, float] = {}
-
-    def loss_db(self, distance_m: float) -> float:
-        cached = self._cache.get(distance_m)
-        if cached is not None:
-            return cached
-        value = self.model.loss_db(distance_m)
-        if len(self._cache) >= self.max_entries:
-            self._cache.clear()
-        self._cache[distance_m] = value
-        return value
-
-    def loss_db_batch(self, distances_m: np.ndarray) -> np.ndarray:
-        """Batch lookup: cache hits fill directly, misses go vectorized.
-
-        The cache is exact, so mixing cached (scalar-computed) and
-        vectorized values never changes a result — the wrapped model's
-        batch method is itself pinned bit-identical to its scalar one.
-        """
-        d_list = distances_m.tolist()
-        out = np.empty(len(d_list), dtype=np.float64)
-        cache = self._cache
-        misses: list[int] = []
-        for i, d in enumerate(d_list):
-            cached = cache.get(d)
-            if cached is None:
-                misses.append(i)
-            else:
-                out[i] = cached
-        if misses:
-            values = self.model.loss_db_batch(distances_m[np.array(misses)])
-            if len(cache) + len(misses) > self.max_entries:
-                cache.clear()
-            for j, i in enumerate(misses):
-                value = float(values[j])
-                cache[d_list[i]] = value
-                out[i] = value
-        return out
-
-    def range_for_loss(self, loss_db: float) -> float:
-        return self.model.range_for_loss(loss_db)

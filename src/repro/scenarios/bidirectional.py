@@ -16,6 +16,7 @@ what the transient cooperators add.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.core.config import CarqConfig
@@ -35,7 +36,7 @@ from repro.scenarios.common import (
     round_seed,
     spawn_platoon,
 )
-from repro.scenarios.configs import config_to_dict
+from repro.scenarios.configs import config_to_dict, require_positive
 from repro.scenarios.highway import _HIGHWAY_RADIO
 from repro.scenarios.modes import PROTOCOL_MODES, ap_class, validate_mode
 from repro.scenarios.registry import ScenarioPlugin, ScenarioPreset, register
@@ -97,16 +98,23 @@ class BidirectionalConfig:
     mode: str = "carq"
 
     def __post_init__(self) -> None:
-        if self.speed_ms <= 0.0 or self.oncoming_speed_ms <= 0.0:
-            raise ConfigurationError("speeds must be positive")
+        require_positive(
+            "speeds", speed_ms=self.speed_ms,
+            oncoming_speed_ms=self.oncoming_speed_ms,
+        )
         if self.n_cars < 1:
             raise ConfigurationError("need at least one car")
         if self.oncoming_cars < 0:
             raise ConfigurationError("oncoming_cars cannot be negative")
-        if self.gap_m <= 0.0 or self.oncoming_gap_m <= 0.0:
-            raise ConfigurationError("gaps must be positive")
-        if self.oncoming_delay_s < 0.0:
-            raise ConfigurationError("oncoming delay cannot be negative")
+        require_positive(
+            "gaps", gap_m=self.gap_m, oncoming_gap_m=self.oncoming_gap_m
+        )
+        require_positive("road length", road_length_m=self.road_length_m)
+        if not 0.0 <= self.oncoming_delay_s < math.inf:
+            raise ConfigurationError(
+                "oncoming delay must be finite and not negative: "
+                f"oncoming_delay_s={self.oncoming_delay_s!r}"
+            )
         validate_mode(self.mode)
 
     def main_ids(self) -> list[NodeId]:

@@ -18,11 +18,7 @@ from repro.mac.frames import NodeId
 from repro.radio.channel import Channel
 from repro.radio.fading import RicianFading
 from repro.radio.obstruction import BuildingObstruction
-from repro.radio.pathloss import (
-    LogDistancePathLoss,
-    MemoizedPathLoss,
-    TwoRayGroundPathLoss,
-)
+from repro.radio.pathloss import LogDistancePathLoss, TwoRayGroundPathLoss
 from repro.radio.shadowing import (
     CompositeShadowing,
     GudmundsonShadowing,
@@ -62,13 +58,9 @@ def urban_channel(radio, sim: Simulator, hub: NodeId, testbed=None) -> Channel:
         )
         shadowing = CompositeShadowing([per_link, common])
     return Channel(
-        # Memoized: the window AP is static, so AP-side link distances
-        # repeat bit-identically whenever the platoon pauses or loops.
-        pathloss=MemoizedPathLoss(
-            LogDistancePathLoss(
-                exponent=radio.pathloss_exponent,
-                reference_loss_db=radio.reference_loss_db,
-            )
+        pathloss=LogDistancePathLoss(
+            exponent=radio.pathloss_exponent,
+            reference_loss_db=radio.reference_loss_db,
         ),
         shadowing=shadowing,
         fading=RicianFading(sim.streams.get("fading"), k_factor=radio.rician_k),
@@ -104,13 +96,9 @@ def highway_channel(radio, sim: Simulator, hub: NodeId) -> Channel:
 def corridor_channel(radio, sim: Simulator) -> Channel:
     """The multi-AP download road: log-distance with heavier shadowing."""
     return Channel(
-        # Memoized: the infostations are static and regularly spaced, so
-        # AP↔AP distances collapse to a handful of exact values.
-        pathloss=MemoizedPathLoss(
-            LogDistancePathLoss(
-                exponent=radio.pathloss_exponent,
-                reference_loss_db=radio.reference_loss_db,
-            )
+        pathloss=LogDistancePathLoss(
+            exponent=radio.pathloss_exponent,
+            reference_loss_db=radio.reference_loss_db,
         ),
         shadowing=GudmundsonShadowing(
             sim.streams.get("shadowing"),

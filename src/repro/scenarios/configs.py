@@ -9,14 +9,16 @@ replaced — the mechanism behind campaign grid axes and ``--set``.
 
 This module sits below both the scenario plugins and the campaign layer
 (:mod:`repro.campaign.spec` re-exports it), so plugins can build preset
-spec dicts without importing campaign code.
+spec dicts without importing campaign code.  The plugins' configs check
+their speeds, lengths and durations with :func:`require_positive`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, is_dataclass, replace
 
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ConfigurationError
 
 #: Dataclass fields that hold nested configuration dataclasses, by class.
 #: Kept as an explicit registry (rather than typing introspection) because
@@ -96,7 +98,11 @@ def apply_override(cfg, path: str, value):
     """Return *cfg* with the dotted-``path`` field replaced by *value*.
 
     ``"platoon.n_cars"`` rebuilds the nested frozen dataclass chain;
-    list values targeting tuple-typed fields are converted.
+    list values targeting tuple-typed fields are converted.  The value
+    must have the type of the field's current value (an int passes for
+    a float; a field that holds ``None`` takes any value), so a
+    mistyped ``--set`` fails here, naming the value, instead of deep
+    inside a round.
     """
     head, _, rest = path.partition(".")
     try:
@@ -111,4 +117,35 @@ def apply_override(cfg, path: str, value):
         return replace(cfg, **{head: apply_override(current, rest, value)})
     if isinstance(current, tuple) and isinstance(value, list):
         value = tuple(value)
+    if not _fits(current, value):
+        raise CampaignError(
+            f"override {head}={value!r} does not fit {type(cfg).__name__}."
+            f"{head}, which holds a {type(current).__name__}"
+        )
     return replace(cfg, **{head: value})
+
+
+def _fits(current, value) -> bool:
+    """Whether *value* may replace *current* (see :func:`apply_override`)."""
+    if current is None:
+        return True
+    if isinstance(current, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(current, int) and not isinstance(current, bool):
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, type(current))
+
+
+def require_positive(what: str, **values: float) -> None:
+    """Raise :class:`ConfigurationError` unless every value is finite and > 0.
+
+    The message names *what* and the first offending field with its
+    value.  ``value <= 0.0`` would let NaN through, and a NaN or infinite
+    speed, length or duration gives a round that ends at NaN (the
+    simulator refuses to run until then) or never.
+    """
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ConfigurationError(
+                f"{what} must be positive and finite: {name}={value!r}"
+            )

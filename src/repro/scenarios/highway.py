@@ -30,7 +30,7 @@ from repro.scenarios.common import (
     round_seed,
     spawn_platoon,
 )
-from repro.scenarios.configs import config_to_dict
+from repro.scenarios.configs import config_to_dict, require_positive
 from repro.scenarios.modes import PROTOCOL_MODES, ap_class, validate_mode
 from repro.scenarios.registry import ScenarioPlugin, ScenarioPreset, register
 from repro.scenarios.summaries import (
@@ -102,12 +102,11 @@ class HighwayConfig:
     mode: str = "carq"
 
     def __post_init__(self) -> None:
-        if self.speed_ms <= 0.0:
-            raise ConfigurationError("speed must be positive")
+        require_positive("speed", speed_ms=self.speed_ms)
         if self.n_cars < 1:
             raise ConfigurationError("need at least one car")
-        if self.gap_m <= 0.0:
-            raise ConfigurationError("gap must be positive")
+        require_positive("gap", gap_m=self.gap_m)
+        require_positive("road length", road_length_m=self.road_length_m)
         validate_mode(self.mode)
 
     @property

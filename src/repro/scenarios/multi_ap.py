@@ -33,7 +33,7 @@ from repro.scenarios.common import (
     make_flows,
     round_seed,
 )
-from repro.scenarios.configs import config_to_dict
+from repro.scenarios.configs import config_to_dict, require_positive
 from repro.scenarios.modes import build_vehicle, reception_state
 from repro.scenarios.registry import ScenarioPlugin, ScenarioPreset, register
 from repro.scenarios.summaries import (
@@ -67,8 +67,13 @@ class MultiApConfig:
     mode: str = "carq"
 
     def __post_init__(self) -> None:
-        if self.ap_spacing_m <= 0.0 or self.road_length_m <= self.ap_spacing_m:
+        require_positive(
+            "lengths", ap_spacing_m=self.ap_spacing_m,
+            road_length_m=self.road_length_m, gap_m=self.gap_m,
+        )
+        if self.road_length_m <= self.ap_spacing_m:
             raise ConfigurationError("road must be longer than the AP spacing")
+        require_positive("speed", speed_ms=self.speed_ms)
         if self.file_blocks <= 0:
             raise ConfigurationError("file needs at least one block")
         if self.mode != "carq":

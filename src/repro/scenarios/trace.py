@@ -28,6 +28,7 @@ bidirectional scenario's oncoming platoon.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -47,7 +48,7 @@ from repro.scenarios.common import (
     round_seed,
     spawn_platoon,
 )
-from repro.scenarios.configs import config_to_dict
+from repro.scenarios.configs import config_to_dict, require_positive
 from repro.scenarios.highway import _HIGHWAY_RADIO
 from repro.scenarios.modes import PROTOCOL_MODES, ap_class, validate_mode
 from repro.scenarios.registry import ScenarioPlugin, ScenarioPreset, register
@@ -173,14 +174,15 @@ class TraceScenarioConfig:
                 f"unknown trace_format {self.trace_format!r}; choose auto, "
                 f"{', '.join(sorted(FORMATS))}"
             )
-        if self.tick_s < 0.0:
-            raise ConfigurationError("tick_s cannot be negative")
+        if not 0.0 <= self.tick_s < math.inf:
+            raise ConfigurationError(
+                f"tick must be finite and not negative: tick_s={self.tick_s!r}"
+            )
         if self.served_vehicles < 0:
             raise ConfigurationError("served_vehicles cannot be negative")
         if not 0.0 <= self.ap_road_fraction <= 1.0:
             raise ConfigurationError("ap_road_fraction must be in [0, 1]")
-        if self.packet_rate_hz <= 0.0:
-            raise ConfigurationError("packet rate must be positive")
+        require_positive("packet rate", packet_rate_hz=self.packet_rate_hz)
         validate_mode(self.mode)
 
     def load_traces(self) -> TraceSet:

@@ -36,7 +36,7 @@ from repro.scenarios.common import (
     round_seed,
     spawn_platoon,
 )
-from repro.scenarios.configs import config_to_dict
+from repro.scenarios.configs import config_to_dict, require_positive
 from repro.scenarios.modes import PROTOCOL_MODES, ap_class, validate_mode
 from repro.scenarios.registry import ScenarioPlugin, ScenarioPreset, register
 from repro.scenarios.summaries import (
@@ -115,6 +115,11 @@ class PlatoonConfig:
     def __post_init__(self) -> None:
         if self.n_cars < 1:
             raise ConfigurationError("need at least one car")
+        require_positive(
+            "platoon speeds", cruise_speed_ms=self.cruise_speed_ms,
+            corner_speed_ms=self.corner_speed_ms,
+        )
+        require_positive("platoon gap", initial_gap_m=self.initial_gap_m)
         valid = {"normal", "timid", "aggressive"}
         for style in self.driver_styles:
             if style not in valid:
@@ -155,8 +160,7 @@ class UrbanScenarioConfig:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ConfigurationError("need at least one round")
-        if self.round_duration_s <= 0.0:
-            raise ConfigurationError("round duration must be positive")
+        require_positive("round duration", round_duration_s=self.round_duration_s)
         validate_mode(self.mode)
 
     def car_ids(self) -> list[NodeId]:

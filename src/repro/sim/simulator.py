@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 from collections.abc import Callable, Generator
 from contextlib import contextmanager
 from time import perf_counter
@@ -140,10 +141,14 @@ class Simulator:
         Raises
         ------
         SimulationError
-            If *delay* is negative.
+            If *delay* is negative or NaN.
         """
-        if delay < 0.0:
-            raise SimulationError(f"cannot schedule {delay!r} s into the past")
+        # One comparison that NaN fails too: a NaN time would sort
+        # arbitrarily in the queue and run the clock backwards.
+        if not delay >= 0.0:
+            raise SimulationError(
+                f"cannot schedule {delay!r} s from now: the delay must be >= 0"
+            )
         # schedule_at inlined (minus its past-check, which a non-negative
         # delay satisfies by construction): this is the kernel's hottest
         # call site and the extra method hop costs ~10% of bench_kernel's
@@ -162,8 +167,14 @@ class Simulator:
         *args: Any,
         priority: Priority = Priority.NORMAL,
     ) -> Event:
-        """Schedule *callback(*args)* at absolute simulated *time*."""
-        if time < self._now:
+        """Schedule *callback(*args)* at absolute simulated *time*.
+
+        Raises
+        ------
+        SimulationError
+            If *time* is before the clock or NaN.
+        """
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time!r}, clock already at t={self._now!r}"
             )
@@ -246,11 +257,14 @@ class Simulator:
         Raises
         ------
         SimulationError
-            If called re-entrantly from within an event callback.
+            If called re-entrantly from within an event callback, or with
+            a NaN *until*, which no event time compares past.
         """
         global _gc_pause_depth, _gc_was_enabled
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
+        if until is not None and math.isnan(until):
+            raise SimulationError(f"cannot run until t={until!r}")
         self._running = True
         self._stopped = False
         # gc_paused() inlined (enter): the context-manager protocol costs

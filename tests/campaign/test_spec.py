@@ -14,6 +14,7 @@ from repro.campaign.spec import (
 from repro.core.config import CarqConfig
 from repro.errors import CampaignError
 from repro.scenarios.highway import HighwayConfig
+from repro.scenarios.trace import TraceScenarioConfig
 from repro.scenarios.urban import UrbanScenarioConfig
 
 
@@ -88,6 +89,30 @@ class TestApplyOverride:
     def test_descending_into_leaf_raises(self):
         with pytest.raises(CampaignError, match="leaf"):
             apply_override(UrbanScenarioConfig(), "seed.deeper", 1)
+
+    def test_int_fits_a_float_field(self):
+        cfg = apply_override(HighwayConfig(), "speed_ms", 20)
+        assert cfg.speed_ms == 20
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("speed_ms", "fast"),
+            ("speed_ms", True),
+            ("n_cars", 2.0),
+            ("n_cars", None),
+            ("mode", 3),
+            ("radio.reception_fast_path", 0),
+            ("radio", {"rician_k": 2.0}),
+        ],
+    )
+    def test_value_of_another_type_raises(self, path, value):
+        with pytest.raises(CampaignError, match=f"={value!r} does not fit"):
+            apply_override(HighwayConfig(), path, value)
+
+    def test_field_holding_none_takes_any_value(self):
+        cfg = apply_override(TraceScenarioConfig(), "t_max", 30)
+        assert cfg.t_max == 30
 
 
 class TestExpansion:

@@ -362,7 +362,9 @@ class TestBatchKernel:
         1 km between pairs, give each pass 11 candidate lanes
         (batch-sized) of which the cull keeps only a few: the kernel
         draws those per lane, never vectorized, and the records equal
-        the oracle's."""
+        the oracle's.  The radios creep at 0.01 m/s: fixed ones would
+        leave the unreachable pairs out of the candidates altogether
+        (see ``TestStaticPairs``)."""
         from repro.mac import medium as medium_module
         from repro.radio.batch import DRAW_CROSSOVER
 
@@ -385,7 +387,13 @@ class TestBatchKernel:
         monkeypatch.setattr(medium_module, "broadcast_samples", spy)
         monkeypatch.setattr(Channel, "sample", counted_sample)
         monkeypatch.setattr(Channel, "sample_batch", no_vectorized_draw)
-        pairs = [Vec2(1000.0 * (i // 2) + 30.0 * (i % 2), 0.0) for i in range(12)]
+        track = Polyline([Vec2(0, 0), Vec2(6000, 0)])
+        pairs = [
+            PathMobility(
+                track, 0.01, start_arc_length=1000.0 * (i // 2) + 30.0 * (i % 2)
+            )
+            for i in range(12)
+        ]
         production = self._storm_records(fast_path=True, positions=pairs)
         monkeypatch.undo()
         assert len(lanes) == 120
@@ -713,3 +721,125 @@ class TestSpeedBoundFromMobility:
         assert oracle_at_mover > 0  # the mover really passes within reach
         assert at_mover == oracle_at_mover
         assert production == oracle
+
+
+class TestStaticPairs:
+    """A fixed transmitter bounds each fixed receiver once per topology.
+
+    A radio whose model reports a top speed of 0 never moves, so the
+    reachability bound between two such radios is the same on every
+    broadcast.  The production path evaluates it once, leaves the
+    receivers that fail it out of the transmitter's candidates, and
+    drops that verdict at every attach.  The plain channel's bound
+    reaches about 1.2 km, so at 800 m spacing each fixed radio reaches
+    its neighbours on the line and no one further.
+    """
+
+    SPACING_M = 800.0
+    ROUNDS = 100
+
+    def _corridor(self, n_fixed, *, fast_path):
+        """Fixed radios on a line and two cars driving past, each way
+        once, while every radio broadcasts every 0.4 s.  Returns the rx
+        rows with each frame's sender."""
+        trace = RecordingCollector()
+        # The cars start 1.5 km beyond either end of the line: out of
+        # reach, but inside the first fixed radio's widest index query.
+        far = self.SPACING_M * (n_fixed - 1) + 1500.0
+        speed = (far + 1500.0) / (0.4 * self.ROUNDS)
+        sim, medium, ifaces = make_net(
+            [Vec2(self.SPACING_M * i, 0.0) for i in range(n_fixed)]
+            + [
+                PathMobility(Polyline([Vec2(-1500, 10), Vec2(far, 10)]), speed),
+                PathMobility(Polyline([Vec2(far, -10), Vec2(-1500, -10)]), speed),
+            ],
+            trace=trace, seed=21, fast_path=fast_path,
+        )
+        rate = rate_by_name("dsss-11")
+        for k in range(self.ROUNDS):
+            for i, tx in enumerate(ifaces):
+                dst = ifaces[(i + 1) % len(ifaces)].node_id
+                frame = data_frame(tx.node_id, dst, seq=k, size=100)
+                sim.schedule(0.4 * k + 1e-3 * i, medium.transmit, tx, frame, rate)
+        sim.run()
+        return [
+            (r.time, int(r.node), int(r.frame.src), r.frame.seq, r.cause,
+             r.snr_db, r.rx_power_dbm)
+            for r in trace.rx_records
+        ]
+
+    @pytest.mark.parametrize(
+        "n_fixed, failing_counts", [(6, {1}), (16, {0, 1})],
+        ids=["attach-order", "index"],
+    )
+    def test_failing_fixed_pairs_are_bounded_once(
+        self, n_fixed, failing_counts, monkeypatch
+    ):
+        """6 fixed radios take the attach-order candidate list, 16 the
+        neighbor index.  A fixed pair that fails the bound is evaluated
+        once, or never where the index never offers the receiver; one
+        that passes is evaluated on every broadcast as well.  The rows
+        equal the oracle's."""
+        bounded = {}
+        scalar_budget = Channel.link_budget
+        batch_budget = Channel.link_budget_batch
+
+        def count(tx_pos, rx_pos):
+            key = (tx_pos, rx_pos)
+            bounded[key] = bounded.get(key, 0) + 1
+
+        def counted_scalar(self, tx_pos, rx_pos):
+            count(tx_pos, rx_pos)
+            return scalar_budget(self, tx_pos, rx_pos)
+
+        def counted_batch(self, tx_pos, rx_xs, rx_ys):
+            for x, y in zip(rx_xs.tolist(), rx_ys.tolist()):
+                count(tx_pos, Vec2(x, y))
+            return batch_budget(self, tx_pos, rx_xs, rx_ys)
+
+        monkeypatch.setattr(Channel, "link_budget", counted_scalar)
+        monkeypatch.setattr(Channel, "link_budget_batch", counted_batch)
+        production = self._corridor(n_fixed, fast_path=True)
+        monkeypatch.undo()
+        assert production == self._corridor(n_fixed, fast_path=False)
+        # The cars pass within reach of every fixed radio.
+        car_ids = {n_fixed + 1, n_fixed + 2}
+        heard = {src for _, node, src, *_ in production if node in car_ids}
+        assert set(range(1, n_fixed + 1)) <= heard
+        fixed = [Vec2(self.SPACING_M * i, 0.0) for i in range(n_fixed)]
+        failing = set()
+        for i, tx_pos in enumerate(fixed):
+            for j, rx_pos in enumerate(fixed):
+                count = bounded.get((tx_pos, rx_pos), 0)
+                if abs(i - j) == 1:
+                    assert count == 1 + self.ROUNDS, (i, j)
+                elif i != j:
+                    failing.add(count)
+        assert failing == failing_counts
+
+    def test_fixed_radio_attached_mid_run_is_heard_by_next_broadcast(self):
+        """A fixed neighbour 50 m away keeps the beacon on the full
+        path, so the beacon holds a verdict (which leaves out a radio
+        5 km away) when a third fixed radio is attached 20 m from it.
+        The attach drops the verdict, and the next broadcast reaches the
+        new radio."""
+
+        def run(fast_path):
+            trace = RecordingCollector()
+            sim, medium, (beacon, *_) = make_net(
+                [Vec2(0, 0), Vec2(50, 0), Vec2(5000, 0)], trace=trace,
+                fast_path=fast_path,
+            )
+            for k in range(20):
+                frame = data_frame(beacon.node_id, NodeId(2), seq=k)
+                sim.schedule(k * 0.1, medium.transmit, beacon, frame, RATE)
+            sim.schedule(
+                1.02, lambda: attach_radios(sim, medium, [Vec2(20, 0)], first=3)
+            )
+            sim.run()
+            return _rx_rows(trace)
+
+        production = run(True)
+        assert [row[2] for row in production if row[1] == 2] == list(range(20))
+        assert [row[2] for row in production if row[1] == 4] == list(range(11, 20))
+        assert production == run(False)

@@ -23,7 +23,6 @@ from repro.radio.obstruction import BuildingObstruction
 from repro.radio.pathloss import (
     FreeSpacePathLoss,
     LogDistancePathLoss,
-    MemoizedPathLoss,
     TwoRayGroundPathLoss,
 )
 from repro.radio.shadowing import (
@@ -75,17 +74,6 @@ class TestPathLossBatchParity:
     @given(distances)
     def test_two_ray(self, values):
         model = TwoRayGroundPathLoss(tx_height_m=6.0, rx_height_m=1.5)
-        arr = np.array(values)
-        assert np.array_equal(
-            model.loss_db_batch(arr), np.array([model.loss_db(d) for d in values])
-        )
-
-    @given(distances)
-    def test_memoized_with_warm_and_cold_cache(self, values):
-        model = MemoizedPathLoss(LogDistancePathLoss(exponent=2.9))
-        # Warm half the cache through the scalar path first.
-        for d in values[::2]:
-            model.loss_db(d)
         arr = np.array(values)
         assert np.array_equal(
             model.loss_db_batch(arr), np.array([model.loss_db(d) for d in values])

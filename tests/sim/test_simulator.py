@@ -45,6 +45,31 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-0.1, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
+    def test_nan_delay_cannot_reorder_the_queue(self):
+        """Delays 3, NaN, 1, 2 and 0.5: the NaN is refused, and the rest
+        fire in time order with the clock never running backwards."""
+        sim = Simulator()
+        fired = []
+        for delay in (3.0, float("nan"), 1.0, 2.0, 0.5):
+            try:
+                sim.schedule(delay, lambda: fired.append(sim.now))
+            except SimulationError:
+                assert delay != delay
+        sim.run()
+        assert fired == [0.5, 1.0, 2.0, 3.0]
+
+    def test_schedule_at_nan_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="nan"):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
     def test_schedule_at_past_rejected(self):
         sim = Simulator()
         sim.schedule(5.0, lambda: None)
@@ -110,6 +135,16 @@ class TestRunUntil:
         sim.run(until=5.0)
         sim.run(until=10.0)
         assert log == [1, 7]
+
+    def test_nan_until_rejected(self):
+        """Every event time compares below a NaN *until*, so the loop
+        would never stop on a self-rescheduling process."""
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError, match="nan"):
+            sim.run(until=float("nan"))
+        assert sim.now == 0.0
+        assert sim.pending_events == 1
 
     def test_event_exactly_at_until_runs(self):
         sim = Simulator()

@@ -1,8 +1,14 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 class TestParser:
@@ -90,3 +96,81 @@ class TestProfileCommand:
     def test_profile_rejects_unknown_scenario(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile", "--scenario", "nope"])
+
+
+class TestInputsThatCannotRun:
+    """A scenario input that cannot run fails at once with exit code 2
+    and one error line that names the bad value, instead of a traceback
+    or a round that never ends."""
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["highway", "--speeds", "80,nan", "--rounds", "1"], "'nan'"),
+            (
+                ["campaign", "run", "--scenario", "highway", "--rounds", "1",
+                 "--set", "speed_ms=NaN"],
+                "speed_ms=nan",
+            ),
+            (
+                ["campaign", "run", "--scenario", "highway", "--rounds", "1",
+                 "--set", "road_length_m=Infinity"],
+                "road_length_m=inf",
+            ),
+            (
+                ["campaign", "run", "--scenario", "highway", "--rounds", "1",
+                 "--set", "speed_ms=Infinity"],
+                "speed_ms=inf",
+            ),
+        ],
+        ids=["speeds-nan", "set-nan-speed", "set-infinite-road", "set-infinite-speed"],
+    )
+    def test_non_finite_input_exits_at_once(self, argv, bad, tmp_path):
+        # Each of these ran a round that never ended (or a meaningless
+        # one), in-process; a subprocess with a timeout keeps a
+        # regression from hanging the suite.
+        if argv[0] == "campaign":
+            argv = argv + ["--store", str(tmp_path / "store.jsonl")]
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            env={**os.environ, "PYTHONPATH": REPO_SRC},
+            cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 2, result.stderr
+        assert bad in result.stderr
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "store.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "speeds, bad",
+        [("abc", "'abc'"), ("80,", "'' in '80,'"), ("", "'' in ''")],
+        ids=["word", "trailing-comma", "empty"],
+    )
+    def test_speeds_that_are_not_numbers_are_usage_errors(self, speeds, bad, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["highway", "--speeds", speeds, "--rounds", "1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --speeds: {bad}" in err
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["stats", "--scenario", "urban", "--set", "round_duration_s=short"],
+             "round_duration_s='short'"),
+            (["campaign", "run", "--scenario", "highway", "--set", "speed_ms=fast"],
+             "speed_ms='fast'"),
+            (["campaign", "run", "--scenario", "multi_ap", "--rounds", "1",
+              "--set", "speed_ms=fast"], "speed_ms='fast'"),
+        ],
+        ids=["stats-urban", "campaign-highway", "campaign-multi_ap"],
+    )
+    def test_mistyped_set_value_is_an_error_line(self, argv, bad, capsys, tmp_path):
+        if argv[0] == "campaign":
+            argv = argv + ["--store", str(tmp_path / "store.jsonl")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{argv[0]}: ")
+        assert bad in captured.err
+        assert not (tmp_path / "store.jsonl").exists()
