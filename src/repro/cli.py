@@ -278,6 +278,12 @@ def _campaign_spec(args: argparse.Namespace) -> CampaignSpec:
 
     if args.spec:
         spec = CampaignSpec.load(args.spec)
+        # A hand-written file is outside input: build each grid point's
+        # config now, so a value that does not fit or cannot run fails
+        # here, naming it, instead of quarantining every task.
+        for task in spec.expand():
+            if task.round_index == 0:
+                task.config()
     elif args.preset:
         spec = CampaignSpec.from_dict(_campaign_presets()[args.preset].build())
     elif getattr(args, "scenario", None):

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_positive
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.core.selection import CooperatorSelection
@@ -78,18 +79,20 @@ class CarqConfig:
     selection: "CooperatorSelection | None" = None
 
     def __post_init__(self) -> None:
-        if self.hello_period_s <= 0.0:
-            raise ConfigurationError("hello period must be positive")
+        require_positive(
+            "protocol timings",
+            hello_period_s=self.hello_period_s,
+            coverage_timeout_s=self.coverage_timeout_s,
+            cooperator_ttl_s=self.cooperator_ttl_s,
+            responder_slot_s=self.responder_slot_s,
+        )
         if not 0.0 <= self.hello_jitter_fraction < 1.0:
             raise ConfigurationError("hello jitter fraction must be in [0, 1)")
-        if self.coverage_timeout_s <= 0.0:
-            raise ConfigurationError("coverage timeout must be positive")
-        if self.cooperator_ttl_s <= 0.0:
-            raise ConfigurationError("cooperator TTL must be positive")
-        if self.responder_slot_s <= 0.0:
-            raise ConfigurationError("responder slot must be positive")
-        if self.request_guard_s < 0.0:
-            raise ConfigurationError("request guard must be >= 0")
+        if not 0.0 <= self.request_guard_s < math.inf:
+            raise ConfigurationError(
+                "request guard must be finite and not negative: "
+                f"request_guard_s={self.request_guard_s!r}"
+            )
         if self.max_batch <= 0:
             raise ConfigurationError("max_batch must be positive")
         if self.recovery_range not in ("platoon", "self"):

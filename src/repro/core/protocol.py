@@ -166,12 +166,16 @@ class CarqProtocol:
     def _hello_loop(self) -> typing.Generator[float, None, None]:
         period = self.config.hello_period_s
         jitter = self.config.hello_jitter_fraction * period
+        next_double = self._rng.random
+        # Both draws are ``Generator.uniform(low, high)`` written out as
+        # NumPy computes it, ``low + (high - low) * random()``: the same
+        # bits, without the call overhead (see repro.net.ap).
         # Desynchronise first beacons across cars.
-        yield float(self._rng.uniform(0.0, period))
+        yield 0.0 + (period - 0.0) * next_double()
         while True:
             self._broadcast_hello()
             if jitter > 0.0:
-                yield period + float(self._rng.uniform(-jitter, jitter))
+                yield period + (-jitter + (jitter - -jitter) * next_double())
             else:
                 yield period
 

@@ -2,10 +2,15 @@
 
 All library-specific failures derive from :class:`ReproError` so callers can
 catch everything coming from this package with a single ``except`` clause
-while still being able to distinguish the individual failure modes.
+while still being able to distinguish the individual failure modes.  The
+two value checks every configuration dataclass uses,
+:func:`require_positive` and :func:`require_finite`, live here too, below
+every package that defines one.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class ReproError(Exception):
@@ -100,3 +105,31 @@ class ScenarioError(CampaignError):
     an invalid campaign, and callers catching campaign failures must see
     it either way.
     """
+
+
+def require_positive(what: str, **values: float) -> None:
+    """Raise :class:`ConfigurationError` unless every value is finite and > 0.
+
+    The message names *what* and the first offending field with its
+    value.  ``value <= 0.0`` would let NaN through, and a NaN or infinite
+    speed, length, duration, rate or period gives a round that ends at
+    NaN (the simulator refuses to run until then), never ends, or never
+    sends.
+    """
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ConfigurationError(
+                f"{what} must be positive and finite: {name}={value!r}"
+            )
+
+
+def require_finite(what: str, **values: float) -> None:
+    """Raise :class:`ConfigurationError` unless every value is finite.
+
+    For offsets, gains and losses, which may be zero or negative: a NaN
+    one makes every comparison it reaches false, so a reachability bound
+    fed one culls every link and the round runs empty.
+    """
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{what} must be finite: {name}={value!r}")

@@ -160,6 +160,13 @@ def simulate_platoon(
     Cars are returned leader-first (car 1, car 2, …); car *i* starts
     ``i · initial_gap`` metres behind the leader.
 
+    The acceleration noise of the whole run is drawn by one
+    ``rng.normal`` call, a ``(steps − 1) × n`` array filled in C order:
+    the same variates in the same order as one size-*n* draw per step,
+    leaving *rng* in the same state.  The integrator then steps Python
+    floats, whose IEEE arithmetic (and libm ``pow``) gives the bits the
+    same expressions give on NumPy scalars.
+
     Parameters
     ----------
     track:
@@ -187,39 +194,37 @@ def simulate_platoon(
 
     n = len(drivers)
     steps = int(round(duration / dt)) + 1
-    positions = np.zeros((n, steps))   # unwrapped arc length
-    speeds = np.zeros((n, steps))
-    for i in range(n):
-        positions[i, 0] = lead_start_arc - i * initial_gap
-        speeds[i, 0] = profile.target_speed(lead_start_arc) * drivers[i].speed_factor
-
     noise_std = np.array([d.acceleration_noise_std for d in drivers])
     sqrt_dt = math.sqrt(dt)
+    noise = (
+        rng.normal(0.0, 1.0, size=(steps - 1, n)) * noise_std / max(sqrt_dt, 1e-9) * dt
+    ).tolist()
 
-    for k in range(1, steps):
-        noise = rng.normal(0.0, 1.0, size=n) * noise_std / max(sqrt_dt, 1e-9) * dt
-        for i in range(n):
-            driver = drivers[i]
-            v = speeds[i, k - 1]
-            s_here = positions[i, k - 1]
-            target = profile.target_speed(s_here) * driver.speed_factor
+    # Each car's unwrapped arc length at every step, and its speed now.
+    positions = [[float(lead_start_arc - i * initial_gap)] for i in range(n)]
+    speeds = [
+        float(profile.target_speed(lead_start_arc) * driver.speed_factor)
+        for driver in drivers
+    ]
+    target_speed = profile.target_speed
+    for step_noise in noise:
+        ahead_s = ahead_v = ahead_length = 0.0
+        for i, driver in enumerate(drivers):
+            arcs = positions[i]
+            s_here = arcs[-1]
+            v = speeds[i]
+            target = target_speed(s_here) * driver.speed_factor
             if i == 0:
-                gap = None
-                approach = 0.0
+                accel = _idm_acceleration(driver.idm, v, target, None, 0.0)
             else:
-                gap = (
-                    positions[i - 1, k - 1]
-                    - s_here
-                    - drivers[i - 1].idm.vehicle_length
+                accel = _idm_acceleration(
+                    driver.idm, v, target, ahead_s - s_here - ahead_length, v - ahead_v
                 )
-                approach = v - speeds[i - 1, k - 1]
-            accel = _idm_acceleration(driver.idm, v, target, gap, approach)
-            v_new = max(v + (accel * dt) + noise[i], 0.0)
-            positions[i, k] = s_here + 0.5 * (v + v_new) * dt
-            speeds[i, k] = v_new
+            # The next car follows this one as it was before this step.
+            ahead_s, ahead_v, ahead_length = s_here, v, driver.idm.vehicle_length
+            v_new = max(v + (accel * dt) + step_noise[i], 0.0)
+            arcs.append(s_here + 0.5 * (v + v_new) * dt)
+            speeds[i] = v_new
 
     times = [k * dt for k in range(steps)]
-    return [
-        TraceMobility(track, times, positions[i].tolist())
-        for i in range(n)
-    ]
+    return [TraceMobility(track, times, positions[i]) for i in range(n)]

@@ -71,19 +71,23 @@ class CurvatureSpeedProfile:
 
     def target_speed(self, arc_length: float) -> float:
         """Target speed at the given (unwrapped) arc-length position."""
-        if self.track.closed:
-            s = arc_length % self.track.length
+        closed = self.track.closed
+        length = self.track.length
+        cruise = self.cruise_speed
+        window = self.transition_distance
+        if closed:
+            s = arc_length % length
         else:
-            s = min(max(arc_length, 0.0), self.track.length)
-        speed = self.cruise_speed
+            s = min(max(arc_length, 0.0), length)
+        speed = cruise
         for corner_s, corner_speed in self._corners:
             distance = abs(s - corner_s)
-            if self.track.closed:
-                distance = min(distance, self.track.length - distance)
-            if distance >= self.transition_distance:
+            if closed:
+                distance = min(distance, length - distance)
+            if distance >= window:
                 continue
             # Linear ramp from cruise at the window edge to the corner speed.
-            blend = 1.0 - distance / self.transition_distance
-            candidate = self.cruise_speed - (self.cruise_speed - corner_speed) * blend
+            blend = 1.0 - distance / window
+            candidate = cruise - (cruise - corner_speed) * blend
             speed = min(speed, candidate)
         return speed

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_positive
 from repro.mac.frames import DataFrame, NodeId
 from repro.mac.medium import Medium
 from repro.mobility.base import MobilityModel
@@ -55,8 +55,7 @@ class FlowConfig:
     blocks: int | None = None
 
     def __post_init__(self) -> None:
-        if self.packet_rate_hz <= 0.0:
-            raise ConfigurationError("packet rate must be positive")
+        require_positive("packet rate", packet_rate_hz=self.packet_rate_hz)
         if self.payload_bytes <= 0:
             raise ConfigurationError("payload must be positive")
         if self.blocks is not None and self.blocks <= 0:
@@ -133,37 +132,45 @@ class AccessPoint(Node):
     # times, and the process machinery's per-resumption overhead showed
     # up in profiles.  The callback schedules exactly the events the
     # generator yielded (kick-off at the current instant, then one timer
-    # per packet) with the same jitter draw order, so the event sequence
-    # — and every downstream tie-break — is unchanged.
+    # per packet).  Each jitter is NumPy's own ``uniform(low, high)``
+    # formula, ``low + (high - low) * next_double``, applied to one
+    # ``random()`` draw: the same bits from the same stream position as
+    # ``Generator.uniform(-jitter, jitter)``, at a quarter of its call
+    # cost, so the event sequence — and every downstream tie-break — is
+    # unchanged.  A file-mode flow builds block b's frame on its first
+    # cycle and sends that object again on every later one.
     def _start_flow(self, flow: FlowConfig) -> None:
         interval = 1.0 / flow.packet_rate_hz
+        jittered = self._jitter_fraction > 0.0
+        jitter = self._jitter_fraction * interval
+        next_double = self._rng.random
+        src = self.node_id
+        dst = flow.destination
         size = DataFrame.size_for_payload(flow.payload_bytes)
+        first_seq = flow.first_seq
+        blocks = flow.blocks
+        file_frames: list[DataFrame] = []
         counter = 0
 
         def tick() -> None:
             nonlocal counter
-            if flow.blocks is None:
-                seq = flow.first_seq + counter
+            if blocks is None:
+                frame = DataFrame(src, dst, size, dst, first_seq + counter)
+            elif counter < blocks:
+                frame = DataFrame(src, dst, size, dst, first_seq + counter)
+                file_frames.append(frame)
             else:
-                seq = flow.first_seq + (counter % flow.blocks)
-            frame = DataFrame(
-                src=self.node_id,
-                dst=flow.destination,
-                size_bytes=size,
-                flow_dst=flow.destination,
-                seq=seq,
-            )
+                frame = file_frames[counter % blocks]
             self.iface.send(frame)
-            self.last_seq_sent[flow.destination] = seq
-            self.frames_sent_per_flow[flow.destination] += 1
+            self.last_seq_sent[dst] = frame.seq
+            self.frames_sent_per_flow[dst] += 1
             if self._retx_policy is not None:
-                for _ in range(self._retx_policy.copies_for(flow.destination, seq) - 1):
+                for _ in range(self._retx_policy.copies_for(dst, frame.seq) - 1):
                     self.iface.send(frame)
-                    self.frames_sent_per_flow[flow.destination] += 1
+                    self.frames_sent_per_flow[dst] += 1
             counter += 1
-            if self._jitter_fraction > 0.0:
-                jitter = self._jitter_fraction * interval
-                delay = interval + float(self._rng.uniform(-jitter, jitter))
+            if jittered:
+                delay = interval + (-jitter + (jitter - -jitter) * next_double())
             else:
                 delay = interval
             self.sim.schedule(delay, tick)

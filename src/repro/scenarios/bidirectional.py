@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.config import CarqConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_finite, require_positive
 from repro.geom import Polyline, Vec2
 from repro.mac.frames import NodeId
 from repro.mac.medium import Medium
@@ -36,7 +36,7 @@ from repro.scenarios.common import (
     round_seed,
     spawn_platoon,
 )
-from repro.scenarios.configs import config_to_dict, require_positive
+from repro.scenarios.configs import config_to_dict
 from repro.scenarios.highway import _HIGHWAY_RADIO
 from repro.scenarios.modes import PROTOCOL_MODES, ap_class, validate_mode
 from repro.scenarios.registry import ScenarioPlugin, ScenarioPreset, register
@@ -110,6 +110,10 @@ class BidirectionalConfig:
             "gaps", gap_m=self.gap_m, oncoming_gap_m=self.oncoming_gap_m
         )
         require_positive("road length", road_length_m=self.road_length_m)
+        require_finite(
+            "offsets", lane_offset_m=self.lane_offset_m, ap_offset_m=self.ap_offset_m
+        )
+        require_positive("packet rate", packet_rate_hz=self.packet_rate_hz)
         if not 0.0 <= self.oncoming_delay_s < math.inf:
             raise ConfigurationError(
                 "oncoming delay must be finite and not negative: "

@@ -10,15 +10,15 @@ replaced — the mechanism behind campaign grid axes and ``--set``.
 This module sits below both the scenario plugins and the campaign layer
 (:mod:`repro.campaign.spec` re-exports it), so plugins can build preset
 spec dicts without importing campaign code.  The plugins' configs check
-their speeds, lengths and durations with :func:`require_positive`.
+their values with :func:`repro.errors.require_positive` and
+:func:`repro.errors.require_finite`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import fields, is_dataclass, replace
 
-from repro.errors import CampaignError, ConfigurationError
+from repro.errors import CampaignError
 
 #: Dataclass fields that hold nested configuration dataclasses, by class.
 #: Kept as an explicit registry (rather than typing introspection) because
@@ -72,7 +72,14 @@ def config_from_dict(cls: type, data: dict):
     Missing fields take the dataclass defaults (spec base dicts may be
     partial); unknown keys are rejected so a typo in a hand-written spec
     file fails loudly instead of silently running the default value.
+    Each value must fit its field by :func:`apply_override`'s rule (a
+    nested config takes a dict), so a mistyped one fails here, naming
+    the field and the value, instead of in every task that builds it.
     """
+    if not isinstance(data, dict):
+        raise CampaignError(
+            f"config {data!r} does not fit {cls.__name__}, which takes a dict"
+        )
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise CampaignError(
@@ -88,8 +95,8 @@ def config_from_dict(cls: type, data: dict):
         value = data[f.name]
         if f.name in nested:
             value = config_from_dict(nested[f.name], value)
-        elif isinstance(getattr(defaults, f.name), tuple):
-            value = tuple(value)
+        else:
+            value = _fitting(cls, f.name, getattr(defaults, f.name), value)
         kwargs[f.name] = value
     return cls(**kwargs)
 
@@ -115,37 +122,29 @@ def apply_override(cfg, path: str, value):
         if not is_dataclass(current):
             raise CampaignError(f"override path {path!r} descends into a leaf field")
         return replace(cfg, **{head: apply_override(current, rest, value)})
+    return replace(cfg, **{head: _fitting(type(cfg), head, current, value)})
+
+
+def _fitting(cls: type, name: str, current, value):
+    """*value* for the field *name* of *cls*, which holds *current*.
+
+    A list for a tuple field becomes a tuple.  Then the value must have
+    the type of *current* (an int passes for a float; a field that holds
+    ``None`` takes any value), or :class:`CampaignError` names it.
+    """
     if isinstance(current, tuple) and isinstance(value, list):
         value = tuple(value)
-    if not _fits(current, value):
-        raise CampaignError(
-            f"override {head}={value!r} does not fit {type(cfg).__name__}."
-            f"{head}, which holds a {type(current).__name__}"
-        )
-    return replace(cfg, **{head: value})
-
-
-def _fits(current, value) -> bool:
-    """Whether *value* may replace *current* (see :func:`apply_override`)."""
     if current is None:
-        return True
-    if isinstance(current, float):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if isinstance(current, int) and not isinstance(current, bool):
-        return isinstance(value, int) and not isinstance(value, bool)
-    return isinstance(value, type(current))
-
-
-def require_positive(what: str, **values: float) -> None:
-    """Raise :class:`ConfigurationError` unless every value is finite and > 0.
-
-    The message names *what* and the first offending field with its
-    value.  ``value <= 0.0`` would let NaN through, and a NaN or infinite
-    speed, length or duration gives a round that ends at NaN (the
-    simulator refuses to run until then) or never.
-    """
-    for name, value in values.items():
-        if not 0.0 < value < math.inf:
-            raise ConfigurationError(
-                f"{what} must be positive and finite: {name}={value!r}"
-            )
+        fits = True
+    elif isinstance(current, float):
+        fits = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif isinstance(current, int) and not isinstance(current, bool):
+        fits = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        fits = isinstance(value, type(current))
+    if not fits:
+        raise CampaignError(
+            f"{name}={value!r} does not fit {cls.__name__}.{name}, "
+            f"which holds a {type(current).__name__}"
+        )
+    return value

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import CarqConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_finite, require_positive
 from repro.mac.frames import NodeId
 from repro.mac.medium import Medium
 from repro.mobility.highway import HighwayScenario, highway_scenario
@@ -30,7 +30,7 @@ from repro.scenarios.common import (
     round_seed,
     spawn_platoon,
 )
-from repro.scenarios.configs import config_to_dict, require_positive
+from repro.scenarios.configs import config_to_dict
 from repro.scenarios.modes import PROTOCOL_MODES, ap_class, validate_mode
 from repro.scenarios.registry import ScenarioPlugin, ScenarioPreset, register
 from repro.scenarios.summaries import (
@@ -107,6 +107,8 @@ class HighwayConfig:
             raise ConfigurationError("need at least one car")
         require_positive("gap", gap_m=self.gap_m)
         require_positive("road length", road_length_m=self.road_length_m)
+        require_finite("AP offset", ap_offset_m=self.ap_offset_m)
+        require_positive("packet rate", packet_rate_hz=self.packet_rate_hz)
         validate_mode(self.mode)
 
     @property

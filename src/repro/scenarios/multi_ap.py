@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.config import CarqConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_finite, require_positive
 from repro.geom import Polyline, Vec2
 from repro.mac.frames import NodeId
 from repro.mac.medium import Medium
@@ -33,7 +33,7 @@ from repro.scenarios.common import (
     make_flows,
     round_seed,
 )
-from repro.scenarios.configs import config_to_dict, require_positive
+from repro.scenarios.configs import config_to_dict
 from repro.scenarios.modes import build_vehicle, reception_state
 from repro.scenarios.registry import ScenarioPlugin, ScenarioPreset, register
 from repro.scenarios.summaries import (
@@ -74,6 +74,8 @@ class MultiApConfig:
         if self.road_length_m <= self.ap_spacing_m:
             raise ConfigurationError("road must be longer than the AP spacing")
         require_positive("speed", speed_ms=self.speed_ms)
+        require_finite("AP offset", ap_offset_m=self.ap_offset_m)
+        require_positive("packet rate", packet_rate_hz=self.packet_rate_hz)
         if self.file_blocks <= 0:
             raise ConfigurationError("file needs at least one block")
         if self.mode != "carq":

@@ -33,7 +33,12 @@ import os
 from dataclasses import dataclass, field
 
 from repro.core.config import CarqConfig
-from repro.errors import ConfigurationError, TraceFormatError
+from repro.errors import (
+    ConfigurationError,
+    TraceFormatError,
+    require_finite,
+    require_positive,
+)
 from repro.geom import Vec2
 from repro.mac.frames import NodeId
 from repro.mobility.base import MobilityModel
@@ -48,7 +53,7 @@ from repro.scenarios.common import (
     round_seed,
     spawn_platoon,
 )
-from repro.scenarios.configs import config_to_dict, require_positive
+from repro.scenarios.configs import config_to_dict
 from repro.scenarios.highway import _HIGHWAY_RADIO
 from repro.scenarios.modes import PROTOCOL_MODES, ap_class, validate_mode
 from repro.scenarios.registry import ScenarioPlugin, ScenarioPreset, register
@@ -182,6 +187,7 @@ class TraceScenarioConfig:
             raise ConfigurationError("served_vehicles cannot be negative")
         if not 0.0 <= self.ap_road_fraction <= 1.0:
             raise ConfigurationError("ap_road_fraction must be in [0, 1]")
+        require_finite("AP offset", ap_offset_m=self.ap_offset_m)
         require_positive("packet rate", packet_rate_hz=self.packet_rate_hz)
         validate_mode(self.mode)
 

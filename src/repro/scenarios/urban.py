@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.core.config import CarqConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_finite, require_positive
 from repro.mac.frames import NodeId
 from repro.mac.medium import Medium
 from repro.mobility.base import MobilityModel
@@ -36,7 +36,7 @@ from repro.scenarios.common import (
     round_seed,
     spawn_platoon,
 )
-from repro.scenarios.configs import config_to_dict, require_positive
+from repro.scenarios.configs import config_to_dict
 from repro.scenarios.modes import PROTOCOL_MODES, ap_class, validate_mode
 from repro.scenarios.registry import ScenarioPlugin, ScenarioPreset, register
 from repro.scenarios.summaries import (
@@ -81,6 +81,22 @@ class RadioEnvironment:
     reception_fast_path: bool = True
     #: Worst-case shadowing boost (dB) granted by the reachability bound.
     cull_headroom_db: float = 12.0
+
+    def __post_init__(self) -> None:
+        require_finite(
+            "radio parameters",
+            pathloss_exponent=self.pathloss_exponent,
+            reference_loss_db=self.reference_loss_db,
+            shadowing_sigma_db=self.shadowing_sigma_db,
+            shadowing_decorrelation_m=self.shadowing_decorrelation_m,
+            common_shadowing_sigma_db=self.common_shadowing_sigma_db,
+            common_shadowing_tau_s=self.common_shadowing_tau_s,
+            rician_k=self.rician_k,
+            ap_tx_power_dbm=self.ap_tx_power_dbm,
+            car_tx_power_dbm=self.car_tx_power_dbm,
+            building_loss_db=self.building_loss_db,
+            cull_headroom_db=self.cull_headroom_db,
+        )
 
     def ap_radio(self) -> RadioConfig:
         """PHY parameters of the access point."""
@@ -161,6 +177,7 @@ class UrbanScenarioConfig:
         if self.rounds < 1:
             raise ConfigurationError("need at least one round")
         require_positive("round duration", round_duration_s=self.round_duration_s)
+        require_positive("packet rate", packet_rate_hz=self.packet_rate_hz)
         validate_mode(self.mode)
 
     def car_ids(self) -> list[NodeId]:

@@ -19,6 +19,7 @@ import multiprocessing
 
 import pytest
 
+from repro.campaign import executor
 from repro.campaign.chaos import ChaosSpec
 from repro.campaign.executor import run_campaign
 from repro.campaign.resilience import RetryPolicy
@@ -30,7 +31,8 @@ REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 def slow_spec(rounds: int = 2, duration_s: float = 300.0) -> CampaignSpec:
-    """Tasks slow enough (~seconds each) to be killed mid-flight."""
+    """Tasks long enough to be killed mid-flight (~0.5 s each on a
+    2-vCPU host)."""
     base = UrbanScenarioConfig(seed=55, round_duration_s=duration_s)
     return CampaignSpec(
         name="fault-test",
@@ -55,27 +57,39 @@ def quick_spec(rounds: int = 10) -> CampaignSpec:
 
 class TestWorkerSigkill:
     def test_sigkilled_worker_is_replaced_and_campaign_completes(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         spec = slow_spec()
         clean = MemoryStore()
         run_campaign(spec, clean, workers=1)
         expected = {t.task_id(): clean.get(t.task_id()) for t in spec.expand()}
 
+        # Pool workers are forked, so they run this wrapper: each attempt
+        # leaves a file named after its worker's pid before it starts.
+        # The killer waits for that evidence of a task in flight instead
+        # of guessing from the clock, so it cannot fire after the tasks
+        # are done, however fast a round runs on the host.
+        started = tmp_path / "started"
+        started.mkdir()
+        run_attempt = executor._run_attempt
+
+        def announced_attempt(*args):
+            (started / str(os.getpid())).touch()
+            return run_attempt(*args)
+
+        monkeypatch.setattr(executor, "_run_attempt", announced_attempt)
         killed = threading.Event()
 
         def kill_one_worker():
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
-                children = multiprocessing.active_children()
-                if children:
-                    time.sleep(0.5)  # let it get into a task
-                    victims = multiprocessing.active_children()
-                    if victims:
-                        os.kill(victims[0].pid, signal.SIGKILL)
+                busy = {int(path.name) for path in started.iterdir()}
+                for child in multiprocessing.active_children():
+                    if child.pid in busy:
+                        os.kill(child.pid, signal.SIGKILL)
                         killed.set()
                         return
-                time.sleep(0.02)
+                time.sleep(0.01)
 
         killer = threading.Thread(target=kill_one_worker, daemon=True)
         killer.start()
@@ -88,6 +102,7 @@ class TestWorkerSigkill:
         )
         killer.join(timeout=30.0)
         assert killed.is_set(), "the killer thread never found a worker"
+        assert stats.worker_restarts >= 1, "the kill missed the task in flight"
         assert stats.failed == 0
         assert {
             t.task_id(): store.get(t.task_id()) for t in spec.expand()

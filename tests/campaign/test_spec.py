@@ -1,5 +1,7 @@
 """Campaign specs: expansion, serialisation, config materialisation."""
 
+import re
+
 import pytest
 
 from repro.campaign.spec import (
@@ -61,6 +63,33 @@ class TestConfigCodec:
         cfg = config_from_dict(UrbanScenarioConfig, {"seed": 5})
         assert cfg.seed == 5
         assert cfg.rounds == UrbanScenarioConfig().rounds
+
+    @pytest.mark.parametrize(
+        "data, bad",
+        [
+            ({"speed_ms": "fast"}, "speed_ms='fast'"),
+            ({"speed_ms": True}, "speed_ms=True"),
+            ({"n_cars": 2.0}, "n_cars=2.0"),
+            ({"mode": 3}, "mode=3"),
+            ({"radio": {"rician_k": "high"}}, "rician_k='high'"),
+            ({"radio": {"reception_fast_path": 0}}, "reception_fast_path=0"),
+            ({"carq": {"max_batch": None}}, "max_batch=None"),
+            ({"radio": 5}, "config 5 does not fit RadioEnvironment"),
+        ],
+    )
+    def test_value_of_another_type_is_rejected(self, data, bad):
+        # The rule apply_override applies: a spec file's leaf values must
+        # fail here, naming the value, not as a TypeError in every task.
+        with pytest.raises(CampaignError, match=re.escape(bad)):
+            config_from_dict(HighwayConfig, data)
+
+    def test_ints_and_lists_fit_their_fields(self):
+        cfg = config_from_dict(
+            UrbanScenarioConfig,
+            {"round_duration_s": 40, "platoon": {"driver_styles": ["normal"]}},
+        )
+        assert cfg.round_duration_s == 40
+        assert cfg.platoon.driver_styles == ("normal",)
 
     def test_non_json_field_is_rejected(self):
         class FakeSelection:

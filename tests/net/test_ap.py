@@ -1,5 +1,7 @@
 """Access-point application: flows, rates, file mode, retransmission hook."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,37 @@ AP = NodeId(100)
 CAR1, CAR2 = NodeId(1), NodeId(2)
 
 
-def make_ap(flows, *, jitter=0.0, retx=None, seed=0):
-    sim = Simulator(seed=seed)
+class DelayLog(Simulator):
+    """A simulator that logs every delay the AP's sender asks for."""
+
+    def __init__(self, seed):
+        super().__init__(seed=seed)
+        self.tick_delays = []
+
+    def schedule(self, delay, callback, *args, **kwargs):
+        if callback.__name__ == "tick":
+            self.tick_delays.append(delay)
+        return super().schedule(delay, callback, *args, **kwargs)
+
+
+class CallLog:
+    """Forwards the calls a node makes on its generator, in order."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = []
+
+    def random(self):
+        self.calls.append(("random", ()))
+        return self.rng.random()
+
+    def integers(self, *args):
+        self.calls.append(("integers", args))
+        return self.rng.integers(*args)
+
+
+def make_ap(flows, *, jitter=0.0, retx=None, seed=0, sim=None, rng=None):
+    sim = sim if sim is not None else Simulator(seed=seed)
     trace = RecordingCollector()
     channel = Channel(
         pathloss=LogDistancePathLoss(exponent=3.0, reference_loss_db=40.0),
@@ -35,7 +66,7 @@ def make_ap(flows, *, jitter=0.0, retx=None, seed=0):
         AP,
         StaticMobility(Vec2(0, 0)),
         RadioConfig(),
-        sim.streams.get("ap"),
+        rng if rng is not None else sim.streams.get("ap"),
         flows,
         jitter_fraction=jitter,
         retransmission_policy=retx,
@@ -55,6 +86,10 @@ class TestValidation:
     def test_flow_validation(self):
         with pytest.raises(ConfigurationError):
             FlowConfig(destination=CAR1, packet_rate_hz=0.0)
+        for rate in (float("nan"), float("inf")):
+            # An infinite rate is a 0 s interval: the clock never moves.
+            with pytest.raises(ConfigurationError, match=f"packet_rate_hz={rate!r}"):
+                FlowConfig(destination=CAR1, packet_rate_hz=rate)
         with pytest.raises(ConfigurationError):
             FlowConfig(destination=CAR1, payload_bytes=0)
         with pytest.raises(ConfigurationError):
@@ -116,6 +151,42 @@ class TestStreaming:
         assert len(gaps) >= 95  # twenty seconds at 5 Hz
         assert all(0.15 <= gap <= 0.25 for gap in gaps)
 
+    @pytest.mark.parametrize(
+        "rate, jitter", [(5.0, 0.05), (10.0, 0.05), (10.0, 0.0)]
+    )
+    def test_delays_equal_generator_uniform_on_a_twin(self, rate, jitter):
+        # The sender writes uniform(-j, j) out from one random() draw.  A
+        # twin generator that replays the node's calls in order, the
+        # MAC's back-off draws included, but calls Generator.uniform for
+        # each jitter must give the same delays bit for bit.
+        sim = DelayLog(seed=3)
+        rng = CallLog(sim.streams.get("ap"))
+        twin = copy.deepcopy(rng.rng)
+        _, _, ap = make_ap(
+            [FlowConfig(destination=CAR1, packet_rate_hz=rate)],
+            jitter=jitter, sim=sim, rng=rng,
+        )
+        ap.start()
+        sim.run(until=40.0)
+
+        interval = 1.0 / rate
+        expected = []
+        for name, args in rng.calls:
+            if name == "integers":
+                twin.integers(*args)
+            else:
+                j = jitter * interval
+                expected.append(interval + float(twin.uniform(-j, j)))
+        kick, *delays = sim.tick_delays
+        assert kick == 0.0
+        assert len(delays) >= 40.0 * rate - 1
+        if jitter == 0.0:
+            assert expected == []
+            assert set(delays) == {interval}
+        else:
+            assert np.array(delays).tobytes() == np.array(expected).tobytes()
+        assert twin.bit_generator.state == rng.rng.bit_generator.state
+
     def test_last_seq_sent_tracked(self):
         sim, _, ap = make_ap([FlowConfig(destination=CAR1, packet_rate_hz=10.0)])
         ap.start()
@@ -133,6 +204,35 @@ class TestFileMode:
         seqs = [t.frame.seq for t in trace.tx_records if isinstance(t.frame, DataFrame)]
         assert set(seqs) == {1, 2, 3, 4, 5}
         assert seqs[:6] == [1, 2, 3, 4, 5, 1]
+
+    @pytest.mark.parametrize("retx", [None, FixedRetransmission(2)])
+    def test_one_frame_object_per_block_across_cycles(self, retx):
+        blocks = 7
+        sim, trace, ap = make_ap(
+            [FlowConfig(destination=CAR1, packet_rate_hz=10.0, first_seq=40,
+                        payload_bytes=500, blocks=blocks)],
+            jitter=0.05, retx=retx,
+        )
+        ap.start()
+        sim.run(until=3.0)
+        sent = [t.frame for t in trace.tx_records if isinstance(t.frame, DataFrame)]
+        copies = 1 if retx is None else 2
+        ticks = len(sent) // copies
+        assert ticks > 3 * blocks
+        assert [f.seq for f in sent[::copies]] == [
+            40 + k % blocks for k in range(ticks)
+        ]
+        by_seq = {}
+        for frame in sent:
+            by_seq.setdefault(frame.seq, set()).add(id(frame))
+        assert all(len(ids) == 1 for ids in by_seq.values())
+        assert len({id(frame) for frame in sent}) == blocks
+        size = DataFrame.size_for_payload(500)
+        assert {(f.src, f.dst, f.size_bytes, f.flow_dst) for f in sent} == {
+            (AP, CAR1, size, CAR1)
+        }
+        assert ap.frames_sent_per_flow[CAR1] == len(sent)
+        assert ap.last_seq_sent[CAR1] == sent[-1].seq == 40 + (ticks - 1) % blocks
 
 
 class TestRetransmissionPolicy:

@@ -1,18 +1,29 @@
-"""Scenario configs refuse speeds, lengths and durations that cannot run.
+"""Configs refuse speeds, lengths, durations, rates, timings, offsets
+and radio parameters that cannot run.
 
 ``value <= 0.0`` lets NaN through, and a NaN or infinite speed, length
 or duration made a round end at NaN (which never stopped the event
-loop) or never.  Each check must name the field and the value.
+loop) or never.  An infinite packet rate is a 0 s send interval, so the
+clock never moves; an infinite HELLO period schedules the first beacon
+at t = inf; a NaN offset or radio parameter makes the reachability bound
+cull every link.  Each check must name the field and the value.
 """
+
+from dataclasses import fields
 
 import pytest
 
+from repro.core.config import CarqConfig
 from repro.errors import ConfigurationError, TraceFormatError
 from repro.scenarios.bidirectional import BidirectionalConfig
 from repro.scenarios.highway import HighwayConfig
 from repro.scenarios.multi_ap import MultiApConfig
 from repro.scenarios.trace import SynthTraceConfig, TraceScenarioConfig
-from repro.scenarios.urban import PlatoonConfig, UrbanScenarioConfig
+from repro.scenarios.urban import (
+    PlatoonConfig,
+    RadioEnvironment,
+    UrbanScenarioConfig,
+)
 
 CHECKED = [
     (HighwayConfig, "speed_ms"),
@@ -34,6 +45,24 @@ CHECKED = [
     (PlatoonConfig, "initial_gap_m"),
     (TraceScenarioConfig, "tick_s"),
     (TraceScenarioConfig, "packet_rate_hz"),
+    (UrbanScenarioConfig, "packet_rate_hz"),
+    (HighwayConfig, "packet_rate_hz"),
+    (BidirectionalConfig, "packet_rate_hz"),
+    (MultiApConfig, "packet_rate_hz"),
+    (HighwayConfig, "ap_offset_m"),
+    (BidirectionalConfig, "ap_offset_m"),
+    (BidirectionalConfig, "lane_offset_m"),
+    (MultiApConfig, "ap_offset_m"),
+    (TraceScenarioConfig, "ap_offset_m"),
+    (CarqConfig, "hello_period_s"),
+    (CarqConfig, "coverage_timeout_s"),
+    (CarqConfig, "cooperator_ttl_s"),
+    (CarqConfig, "responder_slot_s"),
+    (CarqConfig, "request_guard_s"),
+] + [
+    (RadioEnvironment, f.name)
+    for f in fields(RadioEnvironment)
+    if isinstance(getattr(RadioEnvironment(), f.name), float)
 ]
 
 

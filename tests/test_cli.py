@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from repro.campaign.spec import CampaignSpec, config_to_dict
 from repro.cli import build_parser, main
+from repro.scenarios.highway import HighwayConfig
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -122,8 +124,40 @@ class TestInputsThatCannotRun:
                  "--set", "speed_ms=Infinity"],
                 "speed_ms=inf",
             ),
+            # One NaN per scenario in the fields that the sender's and
+            # the beacon's jitter formulas, and the reachability bound,
+            # take without raising.
+            (
+                ["campaign", "run", "--scenario", "urban", "--rounds", "1",
+                 "--set", "packet_rate_hz=NaN"],
+                "packet_rate_hz=nan",
+            ),
+            (
+                ["campaign", "run", "--scenario", "highway", "--rounds", "1",
+                 "--set", "radio.cull_headroom_db=NaN"],
+                "cull_headroom_db=nan",
+            ),
+            (
+                ["campaign", "run", "--scenario", "bidirectional", "--rounds", "1",
+                 "--set", "lane_offset_m=NaN"],
+                "lane_offset_m=nan",
+            ),
+            (
+                ["campaign", "run", "--scenario", "multi_ap", "--rounds", "1",
+                 "--set", "packet_rate_hz=NaN"],
+                "packet_rate_hz=nan",
+            ),
+            (
+                ["campaign", "run", "--scenario", "trace", "--rounds", "1",
+                 "--set", "carq.hello_period_s=NaN"],
+                "hello_period_s=nan",
+            ),
         ],
-        ids=["speeds-nan", "set-nan-speed", "set-infinite-road", "set-infinite-speed"],
+        ids=[
+            "speeds-nan", "set-nan-speed", "set-infinite-road", "set-infinite-speed",
+            "urban-nan-rate", "highway-nan-headroom", "bidirectional-nan-lane",
+            "multi_ap-nan-rate", "trace-nan-hello",
+        ],
     )
     def test_non_finite_input_exits_at_once(self, argv, bad, tmp_path):
         # Each of these ran a round that never ended (or a meaningless
@@ -174,3 +208,17 @@ class TestInputsThatCannotRun:
         assert captured.err.startswith(f"{argv[0]}: ")
         assert bad in captured.err
         assert not (tmp_path / "store.jsonl").exists()
+
+    def test_mistyped_spec_file_is_an_error_line(self, capsys, tmp_path):
+        base = {**config_to_dict(HighwayConfig()), "speed_ms": "fast"}
+        spec = CampaignSpec(name="typo", scenario="highway", seed=1, rounds=2, base=base)
+        spec.save(tmp_path / "spec.json")
+        store = tmp_path / "store.jsonl"
+        argv = ["campaign", "run", "--spec", str(tmp_path / "spec.json"),
+                "--store", str(store)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("campaign: ")
+        assert "speed_ms='fast'" in captured.err
+        assert not store.exists()
