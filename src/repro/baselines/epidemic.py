@@ -32,7 +32,7 @@ from repro.mac.frames import (
 from repro.mac.medium import Medium, RxInfo
 from repro.mac.timing import frame_airtime
 from repro.mobility.base import MobilityModel
-from repro.net.buffer import BufferEntry, PacketBuffer
+from repro.net.buffer import PacketBuffer
 from repro.net.node import Node
 from repro.radio.phy import RadioConfig
 from repro.sim import Simulator
@@ -91,9 +91,7 @@ class EpidemicVehicleNode(Node):
 
     def holdings(self) -> set[tuple[NodeId, int]]:
         """All (flow, seq) pairs this node can offer."""
-        held = {
-            (entry.flow_dst, entry.seq) for entry in self.buffer.entries()
-        }
+        held = set(self.buffer)
         held |= {(self.node_id, seq) for seq in self.state.received}
         held |= {(self.node_id, seq) for seq in self.state.recovered}
         return held
@@ -115,16 +113,12 @@ class EpidemicVehicleNode(Node):
                 self.state.record_direct(frame.seq, now)
             else:
                 # Epidemic nodes buffer *everything* — no cooperator gating.
-                self.buffer.add(
-                    BufferEntry(frame.flow_dst, frame.seq, now, frame.size_bytes)
-                )
+                self.buffer.add(frame.flow_dst, frame.seq, frame.size_bytes)
         elif isinstance(frame, CoopDataFrame):
             if frame.flow_dst == self.node_id:
                 self.state.record_recovered(frame.seq, now)
             else:
-                self.buffer.add(
-                    BufferEntry(frame.flow_dst, frame.seq, now, frame.size_bytes)
-                )
+                self.buffer.add(frame.flow_dst, frame.seq, frame.size_bytes)
         elif isinstance(frame, SummaryFrame):
             self._answer_summary(frame)
 
@@ -157,9 +151,9 @@ class EpidemicVehicleNode(Node):
             yield frame_airtime(size, self.iface.config.rate) + 0.002
 
     def _size_of(self, flow: NodeId, seq: int) -> int | None:
-        entry = self.buffer.get(flow, seq)
-        if entry is not None:
-            return entry.size_bytes
+        size = self.buffer.size_of(flow, seq)
+        if size is not None:
+            return size
         if flow == self.node_id and self.state.has(seq):
             return DataFrame.size_for_payload(1000)
         return None

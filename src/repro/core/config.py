@@ -101,3 +101,9 @@ class CarqConfig:
             )
         if self.max_stagnant_passes <= 0:
             raise ConfigurationError("max_stagnant_passes must be positive")
+        capacity = self.buffer_capacity
+        if capacity is not None and (type(capacity) is not int or capacity <= 0):
+            raise ConfigurationError(
+                "buffer capacity must be None or a positive int: "
+                f"buffer_capacity={capacity!r}"
+            )

@@ -34,7 +34,7 @@ from repro.mac.frames import (
 )
 from repro.mac.medium import RxInfo
 from repro.mac.timing import frame_airtime
-from repro.net.buffer import BufferEntry, PacketBuffer
+from repro.net.buffer import PacketBuffer
 from repro.net.node import Node
 from repro.obs.probes import protocol_probes
 from repro.sim import Event, Interrupt, Process, Simulator
@@ -228,9 +228,7 @@ class CarqProtocol:
         if frame.flow_dst == self.my_flow:
             self.state.record_direct(frame.seq, now)
         elif self.table.is_partner(frame.flow_dst):
-            self.coop_buffer.add(
-                BufferEntry(frame.flow_dst, frame.seq, now, frame.size_bytes)
-            )
+            self.coop_buffer.add(frame.flow_dst, frame.seq, frame.size_bytes)
         # Re-arm the coverage watchdog.
         if self._coverage_event is not None:
             self.sim.cancel(self._coverage_event)
@@ -291,9 +289,7 @@ class CarqProtocol:
             self.config.buffer_overheard_responses
             and self.table.is_partner(frame.flow_dst)
         ):
-            self.coop_buffer.add(
-                BufferEntry(frame.flow_dst, frame.seq, now, frame.size_bytes)
-            )
+            self.coop_buffer.add(frame.flow_dst, frame.seq, frame.size_bytes)
 
     # ------------------------------------------------------------ coverage watchdog --
 
@@ -420,8 +416,8 @@ class CarqProtocol:
         """Answer a REQUEST after the order-based back-off (§3.2/§3.3)."""
         yield my_order * self.config.responder_slot_s
         for seq in seqs:
-            entry = self.coop_buffer.get(requester, seq)
-            if entry is None:
+            size_bytes = self.coop_buffer.size_of(requester, seq)
+            if size_bytes is None:
                 continue  # evicted meanwhile
             overheard = self._overheard_responses.get((requester, seq))
             if overheard is not None and overheard >= request_time:
@@ -432,7 +428,7 @@ class CarqProtocol:
             frame = CoopDataFrame(
                 src=self.node.node_id,
                 dst=requester,
-                size_bytes=entry.size_bytes,
+                size_bytes=size_bytes,
                 flow_dst=requester,
                 seq=seq,
                 relayer=self.node.node_id,
@@ -441,6 +437,6 @@ class CarqProtocol:
             self.stats.responses_sent += 1
             if self._obs is not None:
                 self._obs.coop_data_tx.value += 1
-            yield frame_airtime(entry.size_bytes, self.node.iface.config.rate) + (
+            yield frame_airtime(size_bytes, self.node.iface.config.rate) + (
                 self.config.request_guard_s
             )

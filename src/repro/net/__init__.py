@@ -11,12 +11,11 @@
 from repro.mac.frames import BROADCAST, NodeId
 from repro.net.node import Node
 from repro.net.ap import AccessPoint, FlowConfig
-from repro.net.buffer import BufferEntry, PacketBuffer
+from repro.net.buffer import PacketBuffer
 
 __all__ = [
     "AccessPoint",
     "BROADCAST",
-    "BufferEntry",
     "FlowConfig",
     "Node",
     "NodeId",

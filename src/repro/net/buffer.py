@@ -2,36 +2,29 @@
 
 Cars store two kinds of packets: their *own* flow (the download) and
 packets buffered *for cooperation partners*.  Both use this structure.
-Capacity is bounded with FIFO eviction — a real in-car device has finite
-memory, and the eviction policy is exercised by the capacity-pressure
-tests and the multi-AP experiment.
+Capacity may be bounded with FIFO eviction — a real in-car device has
+finite memory — and no scenario sets one by default, so eviction runs in
+the capacity-pressure tests and in rounds that set
+``carq.buffer_capacity``.
 
-A per-flow index of stored sequence numbers is maintained incrementally:
-``seqs_for_flow`` / ``flow_range`` / ``flows`` are hot — every HELLO
-beacon advertises the buffered range of every flow — and scanning the
-whole buffer per flow per beacon is O(buffer · flows), which dominated
-dense-scenario profiles (the 32-vehicle trace benchmark) before the
-index existed.
+A stored packet is one entry of its flow's insertion-ordered
+``{seq: size in bytes}`` dict; the size is all a responder reads back
+when it answers a REQUEST.  Keeping the packets grouped by flow makes
+``seqs_for_flow`` / ``flow_range`` / ``flows`` cheap — every HELLO
+beacon advertises the buffered range of every flow — and a buffer with a
+capacity also keeps a queue of its ``(flow, seq)`` keys in arrival
+order.  That queue is exact because a packet leaves only by eviction or
+:meth:`PacketBuffer.clear`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import deque
+from typing import Iterator
 
 from repro.errors import ConfigurationError
 from repro.mac.frames import NodeId
 from repro.obs.probes import buffer_probes
-
-
-@dataclass(slots=True, frozen=True)
-class BufferEntry:
-    """One stored packet."""
-
-    flow_dst: NodeId
-    seq: int
-    received_at: float
-    size_bytes: int
 
 
 class PacketBuffer:
@@ -41,13 +34,13 @@ class PacketBuffer:
     ----------
     capacity:
         Maximum number of stored packets; ``None`` means unbounded.
-        When full, the oldest entry (insertion order) is evicted.
+        When full, the oldest packet (arrival order) is evicted.
     """
 
     __slots__ = (
         "_capacity",
-        "_entries",
-        "_per_flow",
+        "_flows",
+        "_arrivals",
         "_flow_bounds",
         "evictions",
         "_obs",
@@ -57,15 +50,19 @@ class PacketBuffer:
         if capacity is not None and capacity <= 0:
             raise ConfigurationError(f"buffer capacity must be positive, got {capacity!r}")
         self._capacity = capacity
-        self._entries: OrderedDict[tuple[NodeId, int], BufferEntry] = OrderedDict()
-        # flow destination → stored seqs of that flow (kept in lockstep
-        # with _entries; empty sets are dropped so flows() stays exact).
-        self._per_flow: dict[NodeId, set[int]] = {}
+        # flow destination → {seq: size in bytes}; a flow whose last
+        # packet left is dropped, so flows() stays exact.
+        self._flows: dict[NodeId, dict[int, int]] = {}
+        # (flow, seq) keys in arrival order, for FIFO eviction; only a
+        # buffer with a capacity evicts, so only it pays for the queue.
+        self._arrivals: deque[tuple[NodeId, int]] | None = (
+            None if capacity is None else deque()
+        )
         # flow destination → cached (min, max) stored seq, or None when
-        # a boundary element was removed and the bounds must be
+        # a boundary packet was evicted and the bounds must be
         # recomputed on the next flow_range query.  Every HELLO beacon
         # advertises the range of every buffered flow, so the add path
-        # keeps this O(1) instead of min()+max() over the seq set.
+        # keeps this O(1) instead of min()+max() over the flow's seqs.
         self._flow_bounds: dict[NodeId, tuple[int, int] | None] = {}
         #: Number of entries evicted due to capacity pressure.
         self.evictions = 0
@@ -73,66 +70,68 @@ class PacketBuffer:
         self._obs = buffer_probes()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(seqs) for seqs in self._flows.values())
 
     def __contains__(self, key: tuple[NodeId, int]) -> bool:
-        return key in self._entries
+        seqs = self._flows.get(key[0])
+        return seqs is not None and key[1] in seqs
 
-    @property
-    def capacity(self) -> int | None:
-        """Configured capacity (``None`` = unbounded)."""
-        return self._capacity
+    def __iter__(self) -> Iterator[tuple[NodeId, int]]:
+        """The stored ``(flow, seq)`` keys, flow by flow, each flow's in
+        arrival order."""
+        return (
+            (flow_dst, seq) for flow_dst, seqs in self._flows.items() for seq in seqs
+        )
 
-    def _index_add(self, flow_dst: NodeId, seq: int) -> None:
-        seqs = self._per_flow.get(flow_dst)
-        if seqs is None:
-            seqs = self._per_flow[flow_dst] = set()
-            self._flow_bounds[flow_dst] = (seq, seq)
-        else:
-            bounds = self._flow_bounds[flow_dst]
-            if bounds is not None:
-                lo, hi = bounds
-                if seq < lo:
-                    self._flow_bounds[flow_dst] = (seq, hi)
-                elif seq > hi:
-                    self._flow_bounds[flow_dst] = (lo, seq)
-        seqs.add(seq)
+    def add(self, flow_dst: NodeId, seq: int, size_bytes: int) -> bool:
+        """Store a packet; returns ``False`` if it was already present.
 
-    def _index_remove(self, flow_dst: NodeId, seq: int) -> None:
-        seqs = self._per_flow[flow_dst]
-        seqs.discard(seq)
-        if not seqs:
-            del self._per_flow[flow_dst]
-            del self._flow_bounds[flow_dst]
-            return
-        bounds = self._flow_bounds[flow_dst]
-        if bounds is not None and (seq == bounds[0] or seq == bounds[1]):
-            # A boundary left: mark dirty, recompute lazily on demand
-            # (interior removals keep the cached bounds exact).
-            self._flow_bounds[flow_dst] = None
-
-    def add(self, entry: BufferEntry) -> bool:
-        """Store an entry; returns ``False`` if it was already present.
-
-        Duplicates do not refresh insertion order (re-hearing an old packet
+        Duplicates do not refresh arrival order (re-hearing an old packet
         must not protect it from eviction forever).
         """
-        key = (entry.flow_dst, entry.seq)
-        if key in self._entries:
+        seqs = self._flows.get(flow_dst)
+        if seqs is not None and seq in seqs:
             return False
-        if self._capacity is not None and len(self._entries) >= self._capacity:
-            evicted_key, _ = self._entries.popitem(last=False)
-            self._index_remove(*evicted_key)
-            self.evictions += 1
-            if self._obs is not None:
-                self._obs.evictions.value += 1
-        self._entries[key] = entry
-        self._index_add(entry.flow_dst, entry.seq)
+        arrivals = self._arrivals
+        if arrivals is not None:
+            if len(arrivals) >= self._capacity:
+                self._evict(*arrivals.popleft())
+                seqs = self._flows.get(flow_dst)
+            arrivals.append((flow_dst, seq))
+        if seqs is None:
+            self._flows[flow_dst] = {seq: size_bytes}
+            self._flow_bounds[flow_dst] = (seq, seq)
+            return True
+        seqs[seq] = size_bytes
+        bounds = self._flow_bounds[flow_dst]
+        if bounds is not None:
+            lo, hi = bounds
+            if seq < lo:
+                self._flow_bounds[flow_dst] = (seq, hi)
+            elif seq > hi:
+                self._flow_bounds[flow_dst] = (lo, seq)
         return True
+
+    def _evict(self, flow_dst: NodeId, seq: int) -> None:
+        seqs = self._flows[flow_dst]
+        del seqs[seq]
+        if not seqs:
+            del self._flows[flow_dst]
+            del self._flow_bounds[flow_dst]
+        else:
+            bounds = self._flow_bounds[flow_dst]
+            if bounds is not None and (seq == bounds[0] or seq == bounds[1]):
+                # A boundary left: mark dirty, recompute lazily on demand
+                # (interior evictions keep the cached bounds exact).
+                self._flow_bounds[flow_dst] = None
+        self.evictions += 1
+        if self._obs is not None:
+            self._obs.evictions.value += 1
 
     def has(self, flow_dst: NodeId, seq: int) -> bool:
         """Whether the packet is stored."""
-        found = (flow_dst, seq) in self._entries
+        seqs = self._flows.get(flow_dst)
+        found = seqs is not None and seq in seqs
         if self._obs is not None:
             if found:
                 self._obs.hits.value += 1
@@ -140,38 +139,31 @@ class PacketBuffer:
                 self._obs.misses.value += 1
         return found
 
-    def get(self, flow_dst: NodeId, seq: int) -> BufferEntry | None:
-        """The stored entry, or ``None``."""
-        entry = self._entries.get((flow_dst, seq))
+    def size_of(self, flow_dst: NodeId, seq: int) -> int | None:
+        """The stored packet's size in bytes, or ``None``."""
+        seqs = self._flows.get(flow_dst)
+        size = None if seqs is None else seqs.get(seq)
         if self._obs is not None:
-            if entry is not None:
+            if size is not None:
                 self._obs.hits.value += 1
             else:
                 self._obs.misses.value += 1
-        return entry
-
-    def discard(self, flow_dst: NodeId, seq: int) -> bool:
-        """Remove a packet; returns whether it was present."""
-        if self._entries.pop((flow_dst, seq), None) is None:
-            return False
-        self._index_remove(flow_dst, seq)
-        return True
+        return size
 
     def seqs_for_flow(self, flow_dst: NodeId) -> set[int]:
         """All stored sequence numbers of one flow (a copy)."""
-        seqs = self._per_flow.get(flow_dst)
-        return set(seqs) if seqs is not None else set()
+        return set(self._flows.get(flow_dst, ()))
 
     def flow_range(self, flow_dst: NodeId) -> tuple[int, int] | None:
         """``(min, max)`` stored sequence numbers of a flow, or ``None``.
 
         O(1) for the steady state (bounds are maintained incrementally
-        by the add path); only the first query after a boundary element
-        was discarded or evicted pays a recompute.
+        by the add path); only the first query after a boundary packet
+        was evicted pays a recompute.
         """
         bounds = self._flow_bounds.get(flow_dst)
         if bounds is None:
-            seqs = self._per_flow.get(flow_dst)
+            seqs = self._flows.get(flow_dst)
             if not seqs:
                 return None
             bounds = (min(seqs), max(seqs))
@@ -180,14 +172,11 @@ class PacketBuffer:
 
     def flows(self) -> set[NodeId]:
         """All flow destinations with at least one stored packet."""
-        return set(self._per_flow)
-
-    def entries(self) -> list[BufferEntry]:
-        """All entries in insertion order (copy)."""
-        return list(self._entries.values())
+        return set(self._flows)
 
     def clear(self) -> None:
         """Drop everything (eviction counter is preserved)."""
-        self._entries.clear()
-        self._per_flow.clear()
+        self._flows.clear()
         self._flow_bounds.clear()
+        if self._arrivals is not None:
+            self._arrivals.clear()

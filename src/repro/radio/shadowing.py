@@ -191,20 +191,18 @@ class GudmundsonShadowing(ShadowingModel):
         self.clamp_sigmas = clamp_sigmas
         self._epoch = 0
         self._link_hashes: dict[LinkKey, int] = {}
-        # (link hash, cell) → all eight corner Gaussians of that cell as
-        # one tuple, in trilinear order: a pure memo of keyed values that
+        # link hash → (ix, iy, iz, block) of the lattice cell the link
+        # was last sampled in, the block being that cell's eight corner
+        # Gaussians in trilinear order: a pure memo of keyed values that
         # the scalar and batch paths share.  Consecutive frames of a
-        # moving link live in the same lattice cell for ~d_corr/speed
-        # seconds, so one cell's draws are reused hundreds of times; one
-        # dict probe per sample instead of eight, and tuples assemble
-        # into the batch kernel's (n, 8) matrix with a single np.array
-        # call.  Capped and dropped wholesale when a long-running
-        # scenario accumulates too many cold cells.
+        # moving link live in the same cell for ~d_corr/speed seconds, so
+        # one cell's draws are reused hundreds of times, and a link that
+        # leaves a cell seldom comes back: one entry per link is all that
+        # is read again.  Tuples assemble into the batch kernel's (n, 8)
+        # matrix with a single np.array call.
         self._corner_blocks: dict[
-            tuple[int, int, int, int], tuple[float, ...]
+            int, tuple[int, int, int, tuple[float, ...]]
         ] = {}
-
-    _MAX_BLOCK_CACHE = 32768
 
     def _link_hash(self, link: LinkKey) -> int:
         cached = self._link_hashes.get(link)
@@ -215,8 +213,9 @@ class GudmundsonShadowing(ShadowingModel):
 
     def _corner_block(
         self, h: int, ix: int, iy: int, iz: int
-    ) -> tuple[float, ...]:
-        """One cell's eight corner Gaussians (the memo's miss path)."""
+    ) -> tuple[int, int, int, tuple[float, ...]]:
+        """Draw one cell's eight corner Gaussians and memoise them as the
+        link's cell (the memo's miss path)."""
         normal = self._keyed.normal
         epoch = self._epoch
         block = (
@@ -229,11 +228,8 @@ class GudmundsonShadowing(ShadowingModel):
             normal(h, epoch, ix, iy + 1, iz + 1),
             normal(h, epoch, ix + 1, iy + 1, iz + 1),
         )
-        blocks = self._corner_blocks
-        if len(blocks) >= self._MAX_BLOCK_CACHE:
-            blocks.clear()
-        blocks[(h, ix, iy, iz)] = block
-        return block
+        cell = self._corner_blocks[h] = (ix, iy, iz, block)
+        return cell
 
     def sample_db(
         self, link: LinkKey, tx_pos: Vec2, rx_pos: Vec2, time: float = 0.0
@@ -256,10 +252,10 @@ class GudmundsonShadowing(ShadowingModel):
         gx = 1.0 - fx
         gy = 1.0 - fy
         gz = 1.0 - fz
-        block = self._corner_blocks.get((h, ix, iy, iz))
-        if block is None:
-            block = self._corner_block(h, ix, iy, iz)
-        c000, c100, c010, c110, c001, c101, c011, c111 = block
+        cell = self._corner_blocks.get(h)
+        if cell is None or cell[0] != ix or cell[1] != iy or cell[2] != iz:
+            cell = self._corner_block(h, ix, iy, iz)
+        c000, c100, c010, c110, c001, c101, c011, c111 = cell[3]
         mix = gz * (
             gx * gy * c000
             + fx * gy * c100
@@ -294,7 +290,7 @@ class GudmundsonShadowing(ShadowingModel):
         Same math, array-shaped: the lattice indices, trilinear weights
         and renormalisation evaluate in NumPy with the scalar operation
         order preserved; the eight corner Gaussians come from
-        :meth:`_corner_block_matrix` (cell-memoised keyed draws).
+        :meth:`_corner_block_matrix` (keyed draws memoised per link).
         *distances_m* must be the exact ``tx_pos.distance_to(rx_pos)``
         values (the channel's link budget already computed them).
         """
@@ -342,11 +338,12 @@ class GudmundsonShadowing(ShadowingModel):
     ) -> np.ndarray:
         """The ``(8, n)`` corner Gaussians for each candidate's cell.
 
-        Cache hits resolve with one dict probe per candidate; all misses
-        evaluate as a single ``(8, m)`` vectorized keyed draw.
+        A candidate still in the cell its link was last sampled in
+        resolves with one memo probe; all others evaluate as a single
+        ``(8, m)`` vectorized keyed draw and become their links' cells.
         """
         n = ix.shape[0]
-        blocks = self._corner_blocks
+        cells = self._corner_blocks
         h_list = link_hashes.tolist()
         ix_list = ix.tolist()
         iy_list = iy.tolist()
@@ -354,11 +351,16 @@ class GudmundsonShadowing(ShadowingModel):
         rows: list[tuple[float, ...] | None] = [None] * n
         misses: list[int] = []
         for i in range(n):
-            block = blocks.get((h_list[i], ix_list[i], iy_list[i], iz_list[i]))
-            if block is None:
+            cell = cells.get(h_list[i])
+            if (
+                cell is None
+                or cell[0] != ix_list[i]
+                or cell[1] != iy_list[i]
+                or cell[2] != iz_list[i]
+            ):
                 misses.append(i)
             else:
-                rows[i] = block
+                rows[i] = cell[3]
         if misses:
             miss_idx = np.array(misses)
             values = self._keyed.normal_batch(
@@ -371,11 +373,9 @@ class GudmundsonShadowing(ShadowingModel):
                 ],
                 (8, len(misses)),
             )
-            if len(blocks) + len(misses) > self._MAX_BLOCK_CACHE:
-                blocks.clear()
             for j, i in enumerate(misses):
                 block = tuple(values[:, j].tolist())
-                blocks[(h_list[i], ix_list[i], iy_list[i], iz_list[i])] = block
+                cells[h_list[i]] = (ix_list[i], iy_list[i], iz_list[i], block)
                 rows[i] = block
         return np.array(rows, dtype=np.float64).T
 

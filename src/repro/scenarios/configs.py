@@ -26,6 +26,17 @@ from repro.errors import CampaignError
 #: ``typing.get_type_hints`` cannot resolve at runtime.
 _NESTED_FIELDS: dict[type, dict[str, type]] = {}
 
+#: The type a field whose default is ``None`` takes besides ``None``, by
+#: its declared annotation (a string: configs use postponed
+#: annotations).  A field declared any other way, such as
+#: ``CarqConfig.selection``, holds an object no JSON value can be, so it
+#: takes only ``None``.
+_OPTIONAL_TYPES: dict[str, type] = {
+    "int | None": int,
+    "float | None": float,
+    "str | None": str,
+}
+
 
 def _nested_fields(cls: type) -> dict[str, type]:
     """Field name → nested dataclass type, discovered from defaults."""
@@ -106,10 +117,9 @@ def apply_override(cfg, path: str, value):
 
     ``"platoon.n_cars"`` rebuilds the nested frozen dataclass chain;
     list values targeting tuple-typed fields are converted.  The value
-    must have the type of the field's current value (an int passes for
-    a float; a field that holds ``None`` takes any value), so a
-    mistyped ``--set`` fails here, naming the value, instead of deep
-    inside a round.
+    must have the field's type (an int passes for a float; see
+    :func:`_fitting`), so a mistyped ``--set`` fails here, naming the
+    value, instead of deep inside a round.
     """
     head, _, rest = path.partition(".")
     try:
@@ -129,22 +139,34 @@ def _fitting(cls: type, name: str, current, value):
     """*value* for the field *name* of *cls*, which holds *current*.
 
     A list for a tuple field becomes a tuple.  Then the value must have
-    the type of *current* (an int passes for a float; a field that holds
-    ``None`` takes any value), or :class:`CampaignError` names it.
+    the field's type, or :class:`CampaignError` names it.  That type is
+    the one of *current*, except for a field whose default is ``None``:
+    it takes ``None`` or a value of the type its annotation declares
+    (see :data:`_OPTIONAL_TYPES`).  An int passes for a float; a bool
+    passes for neither.
     """
     if isinstance(current, tuple) and isinstance(value, list):
         value = tuple(value)
-    if current is None:
-        fits = True
-    elif isinstance(current, float):
+    declared = next(f for f in fields(cls) if f.name == name)
+    if declared.default is None:
+        if value is None:
+            return value
+        kind = _OPTIONAL_TYPES.get(declared.type)
+        takes = declared.type if kind is not None else "only None"
+    else:
+        kind = type(current)
+        takes = f"a {kind.__name__}"
+    if kind is None:
+        fits = False
+    elif kind is float:
         fits = isinstance(value, (int, float)) and not isinstance(value, bool)
-    elif isinstance(current, int) and not isinstance(current, bool):
+    elif kind is int:
         fits = isinstance(value, int) and not isinstance(value, bool)
     else:
-        fits = isinstance(value, type(current))
+        fits = isinstance(value, kind)
     if not fits:
         raise CampaignError(
             f"{name}={value!r} does not fit {cls.__name__}.{name}, "
-            f"which holds a {type(current).__name__}"
+            f"which takes {takes}"
         )
     return value

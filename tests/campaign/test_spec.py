@@ -14,7 +14,7 @@ from repro.campaign.spec import (
     config_to_dict,
 )
 from repro.core.config import CarqConfig
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ConfigurationError
 from repro.scenarios.highway import HighwayConfig
 from repro.scenarios.trace import TraceScenarioConfig
 from repro.scenarios.urban import UrbanScenarioConfig
@@ -83,6 +83,52 @@ class TestConfigCodec:
         with pytest.raises(CampaignError, match=re.escape(bad)):
             config_from_dict(HighwayConfig, data)
 
+    @pytest.mark.parametrize(
+        "cls, data, bad",
+        [
+            (UrbanScenarioConfig, {"carq": {"buffer_capacity": "big"}},
+             "buffer_capacity='big' does not fit CarqConfig.buffer_capacity, "
+             "which takes int | None"),
+            (UrbanScenarioConfig, {"carq": {"buffer_capacity": 16.0}},
+             "buffer_capacity=16.0"),
+            (UrbanScenarioConfig, {"carq": {"buffer_capacity": True}},
+             "buffer_capacity=True"),
+            (UrbanScenarioConfig, {"carq": {"selection": "random"}},
+             "selection='random' does not fit CarqConfig.selection, "
+             "which takes only None"),
+            (TraceScenarioConfig, {"t_max": "soon"},
+             "t_max='soon' does not fit TraceScenarioConfig.t_max, "
+             "which takes float | None"),
+            (TraceScenarioConfig, {"trace_file": 3}, "trace_file=3"),
+        ],
+    )
+    def test_field_whose_default_is_none_refuses_other_types(self, cls, data, bad):
+        with pytest.raises(CampaignError, match=re.escape(bad)):
+            config_from_dict(cls, data)
+
+    def test_field_whose_default_is_none_takes_none_or_its_type(self):
+        cfg = config_from_dict(
+            TraceScenarioConfig,
+            {"t_max": 30, "x_min": 1.5, "ap_x": None, "trace_file": "drive.csv"},
+        )
+        assert (cfg.t_max, cfg.x_min, cfg.ap_x, cfg.trace_file) == (
+            30, 1.5, None, "drive.csv"
+        )
+        cfg = config_from_dict(
+            UrbanScenarioConfig, {"carq": {"buffer_capacity": 16, "selection": None}}
+        )
+        assert cfg.carq.buffer_capacity == 16
+        assert cfg.carq.selection is None
+
+    @pytest.mark.parametrize("capacity", [0, -3])
+    def test_buffer_capacity_that_is_not_positive_is_rejected(self, capacity):
+        with pytest.raises(
+            ConfigurationError, match=re.escape(f"buffer_capacity={capacity}")
+        ):
+            config_from_dict(
+                UrbanScenarioConfig, {"carq": {"buffer_capacity": capacity}}
+            )
+
     def test_ints_and_lists_fit_their_fields(self):
         cfg = config_from_dict(
             UrbanScenarioConfig,
@@ -139,9 +185,14 @@ class TestApplyOverride:
         with pytest.raises(CampaignError, match=f"={value!r} does not fit"):
             apply_override(HighwayConfig(), path, value)
 
-    def test_field_holding_none_takes_any_value(self):
+    def test_field_whose_default_is_none_takes_its_declared_type(self):
         cfg = apply_override(TraceScenarioConfig(), "t_max", 30)
         assert cfg.t_max == 30
+        # Typed by the annotation, not by the value it holds now.
+        assert apply_override(cfg, "t_max", 40.5).t_max == 40.5
+        assert apply_override(cfg, "t_max", None).t_max is None
+        with pytest.raises(CampaignError, match="t_max='soon' does not fit"):
+            apply_override(cfg, "t_max", "soon")
 
 
 class TestExpansion:

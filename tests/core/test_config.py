@@ -43,6 +43,11 @@ class TestCarqConfigValidation:
             {"max_batch": 0},
             {"recovery_range": "everything"},
             {"max_stagnant_passes": 0},
+            {"buffer_capacity": 0},
+            {"buffer_capacity": -1},
+            {"buffer_capacity": True},
+            {"buffer_capacity": 16.0},
+            {"buffer_capacity": "16"},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -1,5 +1,7 @@
 """Shadowing processes: correlation structure and composition."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.radio.shadowing import (
     NoShadowing,
     TemporalTxShadowing,
 )
+from repro.radio.keyed import stable_hash64
 
 
 def rng():
@@ -95,6 +98,48 @@ class TestGudmundson:
         forward = model.sample_db(link, Vec2(3, 1), Vec2(40, 2))
         reverse = model.sample_db(link, Vec2(40, 2), Vec2(3, 1))
         assert forward == pytest.approx(reverse)
+
+    @pytest.mark.parametrize("path", ["scalar", "batch"])
+    def test_link_keeps_one_cell_and_values_do_not_depend_on_it(self, path):
+        """A link driven through dozens of lattice cells leaves one memo
+        entry, and its values equal those of a fresh model that samples
+        the same points in reverse order: every corner Gaussian is a
+        pure keyed value, so forgetting a cell loses nothing."""
+        link = ("ap", "car")
+        tx = Vec2(0.0, 0.0)
+        rxs = [Vec2(7.0 * i, 40.0 + 0.3 * i) for i in range(60)]
+        cell_m = 10.0
+        cells = {
+            (
+                math.floor((tx.x + rx.x) / cell_m),
+                math.floor((tx.y + rx.y) / cell_m),
+                math.floor(tx.distance_to(rx) / cell_m),
+            )
+            for rx in rxs
+        }
+        assert len(cells) >= 20
+
+        def sample(model, rx):
+            if path == "scalar":
+                return model.sample_db(link, tx, rx)
+            return model.sample_db_batch(
+                [link],
+                np.array([stable_hash64(link)], dtype=np.uint64),
+                tx,
+                np.array([rx.x]),
+                np.array([rx.y]),
+                np.array([tx.distance_to(rx)]),
+            )[0]
+
+        forward, backward = (
+            GudmundsonShadowing(rng(), sigma_db=6.0, decorrelation_distance_m=cell_m)
+            for _ in range(2)
+        )
+        values = [sample(forward, rx) for rx in rxs]
+        assert len(forward._corner_blocks) == 1
+        reverse = [sample(backward, rx) for rx in reversed(rxs)]
+        assert len(backward._corner_blocks) == 1
+        assert values == reverse[::-1]
 
     def test_validation(self):
         with pytest.raises(RadioError):

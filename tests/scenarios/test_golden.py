@@ -14,12 +14,17 @@ link's draws, which necessarily re-realised every stochastic sequence
 (calibration bands were re-checked; see EXPERIMENTS.md).
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.campaign.executor import run_campaign
 from repro.campaign.report import download_summaries, sweep_points
 from repro.campaign.spec import CampaignSpec, axis, config_to_dict
 from repro.campaign.store import MemoryStore
+from repro.core.config import CarqConfig
+from repro.scenarios import get_scenario
 from repro.scenarios.bidirectional import BidirectionalConfig
 from repro.scenarios.highway import HighwayConfig
 from repro.scenarios.multi_ap import MultiApConfig
@@ -78,6 +83,25 @@ class TestUrbanGolden:
         assert rows(sweep_points(run(spec), spec)) == [
             ((), 156.66666666666666, 0.251063829787234, 0.031914893617021274),
         ]
+
+
+class TestBoundedBufferGolden:
+    def test_urban_round_that_evicts_digest(self):
+        """FIFO eviction end to end: with a 16-packet cooperative buffer
+        every car of this 40 s round evicts 91 to 165 packets, and the
+        row is pinned by the SHA-256 of its canonical JSON."""
+        plugin = get_scenario("urban")
+        cfg = UrbanScenarioConfig(
+            round_duration_s=40.0, carq=CarqConfig(buffer_capacity=16)
+        )
+        ctx = plugin.build_round(cfg, 0)
+        ctx.run()
+        evictions = sorted(car.protocol.coop_buffer.evictions for car in ctx.cars.values())
+        assert evictions == [91, 117, 165]
+        text = json.dumps(plugin.collect_row(ctx), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "64594bce9977d99f8f2978d1f3ea75c563b6c423828302cae0bc2b007b500562"
+        )
 
 
 class TestHighwayGolden:

@@ -209,6 +209,34 @@ class TestInputsThatCannotRun:
         assert bad in captured.err
         assert not (tmp_path / "store.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["--scenario", "urban", "--set", "carq.buffer_capacity=big"],
+             "buffer_capacity='big'"),
+            (["--scenario", "urban", "--set", "carq.buffer_capacity=0"],
+             "buffer_capacity=0"),
+            (["--scenario", "urban", "--set", "carq.selection=random"],
+             "selection='random'"),
+            (["--scenario", "trace", "--set", "t_max=soon"], "t_max='soon'"),
+        ],
+        ids=["buffer-capacity-word", "buffer-capacity-zero", "selection", "trace-t_max"],
+    )
+    def test_value_a_none_default_field_cannot_hold_is_an_error_line(
+        self, argv, bad, capsys, tmp_path
+    ):
+        # Each of these quarantined its task (exit 3) with an error
+        # raised inside the round.
+        store = tmp_path / "store.jsonl"
+        argv = ["campaign", "run", "--rounds", "1", *argv, "--store", str(store)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("campaign: ")
+        assert bad in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not store.exists()
+
     def test_mistyped_spec_file_is_an_error_line(self, capsys, tmp_path):
         base = {**config_to_dict(HighwayConfig()), "speed_ms": "fast"}
         spec = CampaignSpec(name="typo", scenario="highway", seed=1, rounds=2, base=base)
