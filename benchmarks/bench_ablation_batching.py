@@ -15,9 +15,9 @@ from repro.scenarios.urban import UrbanScenarioConfig, build_urban_round
 ROUNDS = 6
 
 
-def run_variant(batched: bool):
+def run_variant(max_batch: int):
     base = UrbanScenarioConfig(seed=501)
-    cfg = replace(base, carq=replace(base.carq, batch_requests=batched, max_batch=64))
+    cfg = replace(base, carq=replace(base.carq, max_batch=max_batch))
     request_frames = recovered = after = tx = 0
     for index in range(ROUNDS):
         ctx = build_urban_round(cfg, index)
@@ -36,8 +36,8 @@ def run_variant(batched: bool):
 
 
 def test_batched_requests_ablation(benchmark, artifact_sink):
-    per_packet = run_variant(batched=False)
-    batched = benchmark.pedantic(run_variant, args=(True,), rounds=1, iterations=1)
+    per_packet = run_variant(max_batch=1)
+    batched = benchmark.pedantic(run_variant, args=(64,), rounds=1, iterations=1)
 
     text = format_table(
         ["Variant", "REQUEST frames/round", "Recovered pkts/round", "Loss after coop"],

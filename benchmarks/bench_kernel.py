@@ -27,7 +27,7 @@ from repro.radio.shadowing import (
     GudmundsonShadowing,
     TemporalTxShadowing,
 )
-from repro.sim import Signal, Simulator, gc_paused
+from repro.sim import Simulator, gc_paused
 
 
 def test_event_throughput(benchmark, bench_json_sink):
@@ -77,29 +77,6 @@ def test_process_context_switching(benchmark):
 
     result = benchmark(run)
     assert result > 9.9
-
-
-def test_signal_fanout(benchmark):
-    """One signal waking 1000 waiting processes, 10 times."""
-
-    def run():
-        sim = Simulator()
-        woken = []
-        signal = Signal("broadcast")
-
-        def waiter():
-            for _ in range(10):
-                value = yield signal
-                woken.append(value)
-
-        for _ in range(1000):
-            sim.process(waiter())
-        for shot in range(10):
-            sim.schedule(float(shot + 1), signal.trigger, shot)
-        sim.run()
-        return len(woken)
-
-    assert benchmark(run) == 10_000
 
 
 def _line_network(

@@ -27,16 +27,13 @@ from repro.core.selection import (
     RandomK,
 )
 from repro.core.retransmission import (
-    AdaptiveRetransmission,
     FixedRetransmission,
-    NoRetransmission,
     RetransmissionPolicy,
 )
 from repro.core.protocol import CarqProtocol, CarqStats
 from repro.core.vehicle import VehicleNode
 
 __all__ = [
-    "AdaptiveRetransmission",
     "AllNeighbors",
     "BestK",
     "CarqConfig",
@@ -46,7 +43,6 @@ __all__ = [
     "CooperatorTable",
     "FixedRetransmission",
     "FlowReceptionState",
-    "NoRetransmission",
     "Phase",
     "RandomK",
     "RetransmissionPolicy",

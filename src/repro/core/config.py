@@ -39,12 +39,11 @@ class CarqConfig:
     request_guard_s:
         Extra wait after the last responder slot before the requester
         moves on to its next missing packet.
-    batch_requests:
-        ``False`` = one REQUEST per missing packet (the paper's base
-        protocol); ``True`` = pack the whole missing list into one frame
-        (the §3.3 optimisation).
     max_batch:
-        Cap on sequence numbers per batched REQUEST frame.
+        Most sequence numbers one REQUEST frame carries: 1 is the
+        paper's base protocol, one REQUEST per missing packet; a larger
+        cap packs the missing list into fewer frames (the §3.3
+        optimisation).
     recovery_range:
         ``"platoon"`` — learn the full flow range from cooperator
         advertisements (matches the paper's figures; see DESIGN.md §2);
@@ -55,10 +54,6 @@ class CarqConfig:
         new recovery (cooperators are out of range or have nothing more).
     buffer_capacity:
         Cooperative-buffer capacity in packets (``None`` = unbounded).
-    buffer_overheard_responses:
-        Whether overheard coop-data responses addressed to other cars are
-        added to the cooperative buffer (harmless and faithful to the
-        buffering rule of §3.2; can be disabled for ablation).
     selection:
         Cooperator-selection strategy (``None`` = the paper's implicit
         all-one-hop-neighbours rule).
@@ -70,12 +65,10 @@ class CarqConfig:
     cooperator_ttl_s: float = 10.0
     responder_slot_s: float = 0.012
     request_guard_s: float = 0.012
-    batch_requests: bool = False
-    max_batch: int = 64
+    max_batch: int = 1
     recovery_range: str = "platoon"
     max_stagnant_passes: int = 3
     buffer_capacity: int | None = None
-    buffer_overheard_responses: bool = True
     selection: "CooperatorSelection | None" = None
 
     def __post_init__(self) -> None:

@@ -285,10 +285,7 @@ class CarqProtocol:
         if frame.flow_dst == self.my_flow:
             if not self.state.record_recovered(frame.seq, now):
                 self.stats.duplicate_recoveries += 1
-        elif (
-            self.config.buffer_overheard_responses
-            and self.table.is_partner(frame.flow_dst)
-        ):
+        elif self.table.is_partner(frame.flow_dst):
             self.coop_buffer.add(frame.flow_dst, frame.seq, frame.size_bytes)
 
     # ------------------------------------------------------------ coverage watchdog --
@@ -348,10 +345,7 @@ class CarqProtocol:
                     return  # nobody to ask
                 recovered_before = len(self.state.recovered)
                 self.stats.recovery_passes += 1
-                if self.config.batch_requests:
-                    yield from self._request_batched(missing)
-                else:
-                    yield from self._request_one_by_one(missing)
+                yield from self._request_batched(missing)
                 if len(self.state.recovered) == recovered_before:
                     stagnant_passes += 1
                     if stagnant_passes >= self.config.max_stagnant_passes:
@@ -362,28 +356,14 @@ class CarqProtocol:
         except Interrupt:
             return  # back in AP coverage: the reception phase takes over
 
-    def _request_one_by_one(
-        self, missing: list[int]
-    ) -> typing.Generator[float, None, None]:
-        for seq in missing:
-            if self.state.has(seq):
-                continue  # recovered earlier in this pass
-            frame = RequestFrame(
-                src=self.node.node_id,
-                dst=BROADCAST,
-                size_bytes=RequestFrame.size_for(1),
-                seqs=(seq,),
-            )
-            self.node.iface.send(frame)
-            self.stats.request_frames_sent += 1
-            self.stats.seqs_requested += 1
-            if self._obs is not None:
-                self._obs.request_tx.value += 1
-            yield self._response_window(1)
-
     def _request_batched(
         self, missing: list[int]
     ) -> typing.Generator[float, None, None]:
+        """One pass: REQUESTs of up to ``max_batch`` seqs still missing.
+
+        At the default ``max_batch = 1`` this is the paper's one REQUEST
+        per missing packet; a larger cap is the §3.3 optimisation.
+        """
         for start in range(0, len(missing), self.config.max_batch):
             chunk = tuple(
                 seq for seq in missing[start : start + self.config.max_batch]

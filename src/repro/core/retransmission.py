@@ -4,20 +4,15 @@ The prototype disables retransmissions entirely "at the hope that other
 cars in the platoon will receive [the] packets", trading in-coverage
 airtime for dark-area recovery.  The paper notes that "a retransmission
 scheme (possibly adaptive with respect to the number of cooperators) would
-be needed in a real system" — these policies implement that design space
-for the ablation experiment:
-
-* :class:`NoRetransmission` — the paper's prototype (1 copy);
-* :class:`FixedRetransmission` — blindly send *n* copies of every packet;
-* :class:`AdaptiveRetransmission` — send ``max(1, n - cooperators)``
-  copies: the more cooperators a car has, the more the AP relies on
-  C-ARQ instead of spending its own airtime.
+be needed in a real system".  The AP runs without a policy by default,
+one copy per packet as in the prototype;
+:class:`FixedRetransmission` blindly sends *n* copies of every packet
+for the ablation experiment.
 """
 
 from __future__ import annotations
 
 import abc
-from collections.abc import Callable
 
 from repro.errors import ConfigurationError
 from repro.mac.frames import NodeId
@@ -33,15 +28,6 @@ class RetransmissionPolicy(abc.ABC):
         """Total transmit count (≥ 1) for the given packet."""
 
 
-class NoRetransmission(RetransmissionPolicy):
-    """Exactly one transmission per packet — the paper's prototype."""
-
-    __slots__ = ()
-
-    def copies_for(self, flow_dst: NodeId, seq: int) -> int:
-        return 1
-
-
 class FixedRetransmission(RetransmissionPolicy):
     """A constant number of copies per packet."""
 
@@ -54,33 +40,3 @@ class FixedRetransmission(RetransmissionPolicy):
 
     def copies_for(self, flow_dst: NodeId, seq: int) -> int:
         return self.copies
-
-
-class AdaptiveRetransmission(RetransmissionPolicy):
-    """Copies shrink as the destination's cooperator count grows.
-
-    Parameters
-    ----------
-    base_copies:
-        Copies for a car with no cooperators.
-    cooperator_count_fn:
-        Callback reporting the current cooperator count of a car (the
-        scenario wires this to the vehicles' tables; a deployed system
-        would learn it from uplink HELLO summaries).
-    """
-
-    __slots__ = ("base_copies", "_cooperator_count_fn",)
-
-    def __init__(
-        self,
-        base_copies: int,
-        cooperator_count_fn: Callable[[NodeId], int],
-    ) -> None:
-        if base_copies < 1:
-            raise ConfigurationError(f"base copies must be >= 1, got {base_copies!r}")
-        self.base_copies = base_copies
-        self._cooperator_count_fn = cooperator_count_fn
-
-    def copies_for(self, flow_dst: NodeId, seq: int) -> int:
-        cooperators = max(self._cooperator_count_fn(flow_dst), 0)
-        return max(1, self.base_copies - cooperators)

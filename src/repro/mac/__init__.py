@@ -17,7 +17,6 @@ Fidelity notes (documented deviations from IEEE 802.11):
 """
 
 from repro.mac.frames import (
-    AckFrame,
     BROADCAST,
     CoopDataFrame,
     DataFrame,
@@ -32,7 +31,6 @@ from repro.mac.medium import LossCause, Medium, RxInfo
 from repro.mac.interface import NetworkInterface
 
 __all__ = [
-    "AckFrame",
     "BROADCAST",
     "CoopDataFrame",
     "DataFrame",

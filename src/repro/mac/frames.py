@@ -117,13 +117,6 @@ class CoopDataFrame(Frame):
 
 
 @dataclass(slots=True, frozen=True)
-class AckFrame(Frame):
-    """Positive acknowledgement — used only by the in-coverage ARQ baseline."""
-
-    acked_seq: int = 0
-
-
-@dataclass(slots=True, frozen=True)
 class NackFrame(Frame):
     """Cumulative NACK — the ARQ baseline's in-coverage feedback."""
 

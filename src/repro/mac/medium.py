@@ -30,7 +30,8 @@ Reception pipeline per (frame, receiver):
    term of the bound is fixed at attach, so they fail it on every
    broadcast until the next attach, which drops every verdict;
 1. bound the receiver's best-case mean power deterministically (path loss
-   at current positions plus the configured shadowing headroom) and cull
+   at current positions plus :data:`CULL_HEADROOM_DB` of shadowing
+   headroom) and cull
    the link if it can never clear the noise floor minus
    :data:`SENSITIVITY_MARGIN_DB` — no RNG is consumed, and because all
    stochastic channel draws are keyed per ``(link, transmission)``,
@@ -91,6 +92,20 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 #: floor are discarded without bookkeeping (step 3), and links that can
 #: never clear that line are culled (step 1).
 SENSITIVITY_MARGIN_DB = 10.0
+#: Shadowing boost granted to a link before step 1 declares it
+#: unreachable: a receiver is culled when ``tx_power + rx_gain -
+#: pathloss - obstruction + CULL_HEADROOM_DB`` is below its threshold.
+#: The bound is part of the reception model: the fast path and the
+#: oracle both apply it, which is what makes them bit-identical.  It is
+#: an approximation of the exact bound, the shadowing clamps (±4σ per
+#: component) summed.  A culled link would have been admitted only with
+#: a shadowing boost above 12 dB; at a composite σ of about 7 dB that
+#: happens to a few percent of edge-of-range frames.  Such frames arrive
+#: at least :data:`SENSITIVITY_MARGIN_DB` under the noise floor, so they
+#: never deliver; they are lost only as weak interferers and ``on_rx``
+#: reports.  Whether the constant becomes the exact bound is ROADMAP
+#: item 6.
+CULL_HEADROOM_DB = 12.0
 #: Below this candidate count the scalar loop culls and samples each
 #: candidate itself (NumPy's fixed per-op overhead beats a short Python
 #: loop); at or above it the batch kernel's cull pass runs.  Purely a
@@ -234,31 +249,15 @@ class Medium:
         sampled by the per-receiver reference loop.  The two are
         bit-identical by construction (keyed draws + pinned float64
         semantics); the oracle exists so tests can prove it.
-    cull_headroom_db:
-        Shadowing boost granted to a link before it is declared
-        unreachable: a receiver is culled when ``tx_power + rx_gain -
-        pathloss - obstruction + headroom`` is below its sensitivity
-        threshold.  The bound is part of the reception model — both the
-        fast path and the oracle apply it, which is what makes them
-        bit-identical.  ``None`` derives the provable worst case from
-        the channel's clamped shadowing models (±4σ: exact pre-fast-path
-        physics, but a much wider radius).  The default 12 dB is a
-        fidelity/throughput trade-off: links whose deterministic mean
-        sits in the 12 dB band *below* the sensitivity threshold need a
-        shadowing boost exceeding the headroom to matter, which for a
-        composite σ of ~7 dB happens on a few percent of edge-of-range
-        frames — all at least :data:`SENSITIVITY_MARGIN_DB` under the
-        noise floor, so they can never deliver and are lost only as
-        potential weak interferers and ``on_rx`` reports.  Scenarios that
-        need the exact tail set the headroom knob
-        (``RadioEnvironment.cull_headroom_db``) higher or pass ``None``.
 
-    The speed bound that widens stale-index queries and times reach
-    horizons comes from the radios: it starts at 0, and :meth:`attach`
-    raises it to each attached model's top speed (unbounded for a model
-    that reports none).  :meth:`attach` also drops every fixed
-    transmitter's cull verdict, which the next full-path broadcast of
-    that transmitter evaluates again.
+    Both paths apply the same reachability bound, with the fixed
+    :data:`CULL_HEADROOM_DB` of shadowing headroom; the medium has no
+    other reception setting.  The speed bound that widens stale-index
+    queries and times reach horizons comes from the radios: it starts at
+    0, and :meth:`attach` raises it to each attached model's top speed
+    (unbounded for a model that reports none).  :meth:`attach` also
+    drops every fixed transmitter's cull verdict, which the next
+    full-path broadcast of that transmitter evaluates again.
     """
 
     __slots__ = (
@@ -266,7 +265,6 @@ class Medium:
         "_channel",
         "_trace",
         "_fast_path",
-        "_cull_headroom_db",
         "_max_speed_ms",
         "_scratch",
         "_interfaces",
@@ -291,7 +289,6 @@ class Medium:
         *,
         trace: typing.Any | None = None,
         fast_path: bool = True,
-        cull_headroom_db: float | None = 12.0,
     ) -> None:
         self._sim = sim
         self._channel = channel
@@ -299,9 +296,6 @@ class Medium:
         self._fast_path = fast_path
         # Reusable lane-gather buffers of the batch kernel.
         self._scratch = LaneScratch()
-        if cull_headroom_db is None:
-            cull_headroom_db = channel.shadow_headroom_db()
-        self._cull_headroom_db = cull_headroom_db
         # Top speed of the fastest attached model (math.inf: unbounded).
         self._max_speed_ms = 0.0
         self._interfaces: list[NetworkInterface] = []
@@ -395,7 +389,7 @@ class Medium:
         min_threshold = min(
             threshold for _, _, threshold, _, _, _ in self._rx_static.values()
         )
-        max_loss = best - min_threshold + self._cull_headroom_db
+        max_loss = best - min_threshold + CULL_HEADROOM_DB
         if not math.isfinite(max_loss):
             return math.inf
         return self._channel.max_range_m(max_loss)
@@ -517,7 +511,7 @@ class Medium:
         budget = self._channel.link_budget
         # Term for term the bound of transmit() and the batch kernel, so
         # each verdict is the float comparison they would make.
-        headroom = self._cull_headroom_db
+        headroom = CULL_HEADROOM_DB
         unreachable: set[NetworkInterface] = set()
         for rx_iface in offered:
             if rx_iface is tx_iface:
@@ -610,7 +604,7 @@ class Medium:
         end = now + airtime
         tx_pos = tx_iface.position()
         channel = self._channel
-        headroom = self._cull_headroom_db
+        headroom = CULL_HEADROOM_DB
         tx_power = tx_iface.config.tx_power_dbm
         tx_id = tx_iface.node_id
         candidates = self._candidates(tx_iface, tx_pos)
@@ -775,7 +769,7 @@ class Medium:
         survivors = broadcast_samples(
             self._channel, tx_id, rx_ids, tx_pos,
             xs[:index], ys[:index], rx_gains[:index], rx_floors[:index],
-            tx_power, self._cull_headroom_db, now, tx_seq,
+            tx_power, CULL_HEADROOM_DB, now, tx_seq,
         )
         if spans is not None:
             spans.end(kept=len(survivors))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.geom import Vec2
 from repro.mobility.base import MobilityModel
 
@@ -16,21 +14,6 @@ class StaticMobility(MobilityModel):
 
     def position(self, time: float) -> Vec2:
         return self._position
-
-    def batch_key(self):
-        # All static mounts evaluate together: one array gather replaces
-        # a position() call per candidate (multi-AP corridors carry
-        # dozens of infostations per broadcast).
-        return ("static",)
-
-    @staticmethod
-    def positions_at_time(
-        models: "list[StaticMobility]", time: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.array([m._position.x for m in models]),
-            np.array([m._position.y for m in models]),
-        )
 
     def max_speed_ms(self) -> float:
         return 0.0

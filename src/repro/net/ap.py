@@ -4,7 +4,7 @@ The testbed AP "continually transmit[s] numbered packets addressed to each
 car": one flow per car, a fixed packet rate and payload, no MAC
 retransmissions.  :class:`AccessPoint` reproduces exactly that, plus an
 optional retransmission policy hook used by the ARQ baseline and the
-adaptive-retransmission extension (paper §6 future work).
+retransmission ablation (paper §6 future work).
 """
 
 from __future__ import annotations

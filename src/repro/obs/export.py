@@ -240,16 +240,15 @@ def render_stats_report(
 
     hits = counter("buffer.hits")
     misses = counter("buffer.misses")
-    if hits or misses:
-        ratio = 100.0 * hits / (hits + misses) if hits + misses else 0.0
+    evictions = counter("buffer.evictions")
+    if hits or misses or evictions:
+        lookups = hits + misses
+        share = f"{100.0 * hits / lookups:.1f}% hits, " if lookups else ""
         lines.append("packet buffer")
         lines.append(
-            f"  lookups           {_fmt_count(hits + misses):>10}"
-            f"  ({ratio:.1f}% hits, "
-            f"{_fmt_count(counter('buffer.evictions'))} evictions)"
+            f"  lookups           {_fmt_count(lookups):>10}"
+            f"  ({share}{_fmt_count(evictions)} evictions)"
         )
-    else:
-        known.add("buffer.evictions")
 
     other = sorted(set(snapshot) - known)
     if other:

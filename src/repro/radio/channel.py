@@ -155,10 +155,6 @@ class Channel:
         losses = losses + self.obstruction.extra_loss_db_batch(tx_pos, rx_xs, rx_ys)
         return distances, losses
 
-    def shadow_headroom_db(self) -> float:
-        """Worst-case positive shadowing excursion (``inf`` if unbounded)."""
-        return self.shadowing.max_boost_db()
-
     def max_range_m(self, max_loss_db: float) -> float:
         """Largest distance whose *path* loss stays within *max_loss_db*.
 
@@ -179,17 +175,17 @@ class Channel:
         rx_gain_db: float = 0.0,
         time: float = 0.0,
         *,
-        tx_seq: int | None = None,
+        tx_seq: int,
         budget: tuple[float, float] | None = None,
     ) -> LinkSample:
         """Draw the channel realisation for one frame on one link.
 
-        ``tx_seq`` is the medium's per-transmission counter: when given,
-        the fading draw is keyed by ``(link, tx_seq)`` and the sample is
-        a pure function of its arguments.  Without it, fading falls back
-        to the model's sequential counter (legacy single-link callers).
-        ``budget`` forwards a precomputed :meth:`link_budget` so the
-        deterministic part is not evaluated twice.
+        ``tx_seq`` is the medium's per-transmission counter.  The fading
+        draw is keyed by ``(link, tx_seq)`` and shadowing by the link,
+        the positions and *time*, so the sample is a pure function of its
+        arguments: calling it twice with the same ones returns the same
+        sample.  ``budget`` forwards a precomputed :meth:`link_budget` so
+        the deterministic part is not evaluated twice.
         """
         if budget is None:
             budget = self.link_budget(tx_pos, rx_pos)
@@ -197,7 +193,7 @@ class Channel:
         link, link_hash = self._link(tx_id, rx_id)
         shadow = self.shadowing.sample_db(link, tx_pos, rx_pos, time)
         mean_power = tx_power_dbm + rx_gain_db - loss - shadow
-        fade = self.fading.sample_db(None if tx_seq is None else (link_hash, tx_seq))
+        fade = self.fading.sample_db((link_hash, tx_seq))
         return LinkSample(
             rx_power_dbm=mean_power + fade,
             mean_rx_power_dbm=mean_power,

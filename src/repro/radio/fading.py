@@ -6,12 +6,11 @@ the channel coherence time (~ a few ms at 20 km/h) is shorter than the
 independent small-scale realisations.  Temporal correlation across frames
 is carried by the shadowing process instead.
 
-Draws are *keyed* (see :mod:`repro.radio.keyed`): the channel passes a
-``(link, transmission)`` key and the realisation is a pure function of
-it, so the medium's reception fast path can skip out-of-range links
-without perturbing any other link's fading sequence.  Calling
-``sample_db()`` without a key falls back to an internal call counter,
-which yields an ordinary i.i.d. sequence for statistics and tests.
+Draws are *keyed* (see :mod:`repro.radio.keyed`): every call passes a
+key, the channel a ``(link hash, transmission)`` pair, and the
+realisation is a pure function of it.  So the medium's reception fast
+path can skip out-of-range links without perturbing any other link's
+fading, and distinct keys give an i.i.d. sequence for statistics.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ class FadingModel(abc.ABC):
     __slots__ = ()
 
     @abc.abstractmethod
-    def sample_db(self, key: tuple[int, ...] | None = None) -> float:
+    def sample_db(self, key: tuple[int, ...]) -> float:
         """A fading gain in dB (typically negative-mean) for *key*."""
 
     def sample_db_batch(self, link_hashes: np.ndarray, tx_seq: int) -> np.ndarray:
@@ -53,7 +52,7 @@ class NoFading(FadingModel):
 
     __slots__ = ()
 
-    def sample_db(self, key: tuple[int, ...] | None = None) -> float:
+    def sample_db(self, key: tuple[int, ...]) -> float:
         return 0.0
 
     def sample_db_batch(self, link_hashes: np.ndarray, tx_seq: int) -> np.ndarray:
@@ -61,19 +60,12 @@ class NoFading(FadingModel):
 
 
 class _KeyedFading(FadingModel):
-    """Shared plumbing: keyed draws with a sequential-counter fallback."""
+    """Shared plumbing: the keyed draws, seeded from *rng*."""
 
-    __slots__ = ("_keyed", "_calls",)
+    __slots__ = ("_keyed",)
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._keyed = KeyedRandom.from_rng(rng)
-        self._calls = 0
-
-    def _key(self, key: tuple[int, ...] | None) -> tuple[int, ...]:
-        if key is None:
-            self._calls += 1
-            return (self._calls,)
-        return key
 
 
 class RayleighFading(_KeyedFading):
@@ -84,8 +76,8 @@ class RayleighFading(_KeyedFading):
 
     __slots__ = ()
 
-    def sample_db(self, key: tuple[int, ...] | None = None) -> float:
-        gain = self._keyed.exponential(*self._key(key))
+    def sample_db(self, key: tuple[int, ...]) -> float:
+        gain = self._keyed.exponential(*key)
         # Clamp astronomically deep draws rather than propagating -inf dB.
         gain = max(gain, 1e-12)
         return 10.0 * math.log10(gain)
@@ -115,8 +107,8 @@ class RicianFading(_KeyedFading):
         self._los = math.sqrt(k_factor / (k_factor + 1.0))
         self._scatter_sigma = math.sqrt(1.0 / (2.0 * (k_factor + 1.0)))
 
-    def sample_db(self, key: tuple[int, ...] | None = None) -> float:
-        z_re, z_im = self._keyed.normal_pair(*self._key(key))
+    def sample_db(self, key: tuple[int, ...]) -> float:
+        z_re, z_im = self._keyed.normal_pair(*key)
         re = self._los + self._scatter_sigma * z_re
         im = self._scatter_sigma * z_im
         gain = re * re + im * im

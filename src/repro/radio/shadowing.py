@@ -34,9 +34,11 @@ any other link's realisation:
   queried instant.
 
 Values are clamped to ``±clamp_sigmas·σ`` (default 4σ, clipping
-probability ~6e-5 per draw), so every model exposes a finite
-:meth:`ShadowingModel.max_boost_db` — the worst-case headroom the
-medium's deterministic reachability bound can rely on.
+probability ~6e-5 per draw); the clamps shape the values and nothing
+else.  The medium's reachability bound does not read them: it grants a
+fixed :data:`~repro.mac.medium.CULL_HEADROOM_DB` of shadowing boost, an
+approximation of the exact bound, which is the clamps summed over the
+components.
 """
 
 from __future__ import annotations
@@ -102,14 +104,6 @@ class ShadowingModel(abc.ABC):
             out[i] = self.sample_db(link, tx_pos, Vec2(xs[i], ys[i]), time)
         return out
 
-    def max_boost_db(self) -> float:
-        """Largest positive value :meth:`sample_db` can ever return.
-
-        Used by the medium's deterministic reachability bound; models
-        without a finite bound return ``inf`` (which disables culling).
-        """
-        return math.inf
-
     def reset(self) -> None:
         """Start a fresh realisation (called between simulation rounds)."""
 
@@ -128,9 +122,6 @@ class NoShadowing(ShadowingModel):
         self, links, link_hashes, tx_pos, rx_xs, rx_ys, distances_m, time=0.0
     ) -> np.ndarray:
         return np.zeros(len(links), dtype=np.float64)
-
-    def max_boost_db(self) -> float:
-        return 0.0
 
     def reset(self) -> None:  # no state
         return None
@@ -379,9 +370,6 @@ class GudmundsonShadowing(ShadowingModel):
                 rows[i] = block
         return np.array(rows, dtype=np.float64).T
 
-    def max_boost_db(self) -> float:
-        return self.clamp_sigmas * self.sigma_db
-
     def reset(self) -> None:
         self._epoch += 1
         self._corner_blocks.clear()
@@ -591,9 +579,6 @@ class TemporalTxShadowing(ShadowingModel):
         cap = self.clamp_sigmas * self.sigma_db
         return min(max(value, -cap), cap)
 
-    def max_boost_db(self) -> float:
-        return self.clamp_sigmas * self.sigma_db
-
     def reset(self) -> None:
         self._epoch += 1
         self._state.clear()
@@ -633,9 +618,6 @@ class CompositeShadowing(ShadowingModel):
                 links, link_hashes, tx_pos, rx_xs, rx_ys, distances_m, time
             )
         return total
-
-    def max_boost_db(self) -> float:
-        return sum(c.max_boost_db() for c in self.components)
 
     def reset(self) -> None:
         for component in self.components:

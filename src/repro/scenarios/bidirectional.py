@@ -93,7 +93,7 @@ class BidirectionalConfig:
     rounds: int = 5
     radio: RadioEnvironment = field(default_factory=lambda: _HIGHWAY_RADIO)
     carq: CarqConfig = field(
-        default_factory=lambda: CarqConfig(batch_requests=True, max_batch=64)
+        default_factory=lambda: CarqConfig(max_batch=64)
     )
     mode: str = "carq"
 

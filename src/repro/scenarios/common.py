@@ -25,20 +25,14 @@ AP_NODE_ID: NodeId = NodeId(100)
 
 
 def build_medium(sim: Simulator, channel, radio, *, trace=None) -> Medium:
-    """The scenario's shared medium, honouring the radio's reception knobs.
+    """The scenario's shared medium, honouring the radio's reception path.
 
     Every scenario builder wires its medium through here so the
-    ``reception_fast_path`` / ``cull_headroom_db`` fields of
-    :class:`~repro.scenarios.urban.RadioEnvironment` reach the MAC layer
+    ``reception_fast_path`` field of
+    :class:`~repro.scenarios.urban.RadioEnvironment` reaches the MAC layer
     uniformly (and campaigns can run the oracle arm per scenario).
     """
-    return Medium(
-        sim,
-        channel,
-        trace=trace,
-        fast_path=radio.reception_fast_path,
-        cull_headroom_db=radio.cull_headroom_db,
-    )
+    return Medium(sim, channel, trace=trace, fast_path=radio.reception_fast_path)
 
 
 def round_seed(base_seed: int, round_index: int, *, stride: int = 7919) -> int:

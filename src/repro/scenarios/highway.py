@@ -97,7 +97,7 @@ class HighwayConfig:
     # REQUEST of the urban prototype is too slow, so the highway scenario
     # uses the paper's §3.3 batched-REQUEST optimisation by default.
     carq: CarqConfig = field(
-        default_factory=lambda: CarqConfig(batch_requests=True, max_batch=64)
+        default_factory=lambda: CarqConfig(max_batch=64)
     )
     mode: str = "carq"
 

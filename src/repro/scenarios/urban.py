@@ -79,8 +79,6 @@ class RadioEnvironment:
     #: selects the exhaustive scalar oracle, which must produce
     #: bit-identical rows (A/B validation).
     reception_fast_path: bool = True
-    #: Worst-case shadowing boost (dB) granted by the reachability bound.
-    cull_headroom_db: float = 12.0
 
     def __post_init__(self) -> None:
         require_finite(
@@ -95,7 +93,6 @@ class RadioEnvironment:
             ap_tx_power_dbm=self.ap_tx_power_dbm,
             car_tx_power_dbm=self.car_tx_power_dbm,
             building_loss_db=self.building_loss_db,
-            cull_headroom_db=self.cull_headroom_db,
         )
 
     def ap_radio(self) -> RadioConfig:

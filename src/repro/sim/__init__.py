@@ -7,18 +7,16 @@ framework.  It provides:
 * :class:`Simulator` — the event loop and clock;
 * :class:`Event` / :class:`EventQueue` — scheduled callbacks with
   deterministic FIFO tie-breaking, served from one binary heap;
-* :class:`Process` / :class:`Signal` — generator-based cooperative
-  processes (``yield delay`` / ``yield signal``);
+* :class:`Process` — generator-based cooperative processes that yield
+  delays (``yield delay``);
 * :class:`RandomStreams` — named, independently-seeded numpy generators so
-  every stochastic component is reproducible in isolation;
-* :class:`Monitor` — time-series probes for instrumentation.
+  every stochastic component is reproducible in isolation.
 """
 
 from repro.sim.event import Event, Priority
 from repro.sim.scheduler import EventQueue
-from repro.sim.process import Interrupt, Process, Signal
+from repro.sim.process import Interrupt, Process
 from repro.sim.random import RandomStreams
-from repro.sim.monitor import Monitor
 from repro.sim.simulator import Simulator, gc_paused
 
 __all__ = [
@@ -26,10 +24,8 @@ __all__ = [
     "EventQueue",
     "gc_paused",
     "Interrupt",
-    "Monitor",
     "Priority",
     "Process",
     "RandomStreams",
-    "Signal",
     "Simulator",
 ]

@@ -1,14 +1,11 @@
 """Generator-based cooperative processes.
 
 A *process* is a Python generator driven by the simulator.  The generator
-may yield:
-
-* a ``float``/``int`` — sleep for that many simulated seconds;
-* a :class:`Signal` — suspend until the signal is triggered; the value the
-  signal was triggered with becomes the result of the ``yield`` expression.
+yields only delays: a ``float``/``int`` sleeps for that many simulated
+seconds, and the ``yield`` expression evaluates to ``None``.
 
 Processes may be interrupted (:meth:`Process.interrupt`): the pending sleep
-or wait is abandoned and an :class:`Interrupt` exception is thrown into the
+is abandoned and an :class:`Interrupt` exception is thrown into the
 generator, which may catch it to clean up or re-plan — this is how the
 C-ARQ recovery loop is aborted when a new access point is reached.
 """
@@ -37,49 +34,6 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class Signal:
-    """A one-to-many wake-up condition.
-
-    Processes yield a signal to suspend on it; :meth:`trigger` resumes all
-    current waiters with the given value.  A signal can be triggered many
-    times; each trigger wakes only the processes waiting at that moment.
-    Plain callbacks can also subscribe via :meth:`subscribe`.
-    """
-
-    __slots__ = ("name", "_waiters", "_callbacks",)
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._waiters: list[Process] = []
-        self._callbacks: list[typing.Callable[[Any], None]] = []
-
-    def subscribe(self, callback: typing.Callable[[Any], None]) -> None:
-        """Invoke *callback(value)* on every future trigger."""
-        self._callbacks.append(callback)
-
-    def unsubscribe(self, callback: typing.Callable[[Any], None]) -> None:
-        """Remove a previously subscribed callback."""
-        self._callbacks.remove(callback)
-
-    def trigger(self, value: Any = None) -> None:
-        """Wake all waiting processes and invoke subscribed callbacks."""
-        waiters, self._waiters = self._waiters, []
-        for process in waiters:
-            process._resume(value)
-        for callback in list(self._callbacks):
-            callback(value)
-
-    def _add_waiter(self, process: Process) -> None:
-        self._waiters.append(process)
-
-    def _remove_waiter(self, process: Process) -> None:
-        if process in self._waiters:
-            self._waiters.remove(process)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Signal({self.name!r}, waiters={len(self._waiters)})"
-
-
 class Process:
     """A generator being executed in simulated time.
 
@@ -95,9 +49,6 @@ class Process:
         "name",
         "_alive",
         "_pending_event",
-        "_waiting_on",
-        "result",
-        "done",
     )
 
     def __init__(self, sim: "Simulator", generator: Generator[Any, Any, Any], name: str = "") -> None:
@@ -106,10 +57,6 @@ class Process:
         self.name = name or getattr(generator, "__name__", "process")
         self._alive = True
         self._pending_event = None  # Event for a sleep, if sleeping
-        self._waiting_on: Signal | None = None
-        self.result: Any = None
-        #: Signal triggered (with :attr:`result`) when the process finishes.
-        self.done = Signal(f"{self.name}.done")
         # Kick-off: resume with None at the current instant.
         self._pending_event = sim.schedule(0.0, self._resume, None)
 
@@ -119,27 +66,20 @@ class Process:
         return self._alive
 
     def interrupt(self, cause: Any = None) -> None:
-        """Abort the process's current wait and throw :class:`Interrupt`.
+        """Abort the process's current sleep and throw :class:`Interrupt`.
 
         No-op on a dead process.  The exception is delivered immediately
         (synchronously), matching the semantics of SimPy interrupts.
         """
         if not self._alive:
             return
-        self._clear_waits()
-        self._step(Interrupt(cause), throw=True)
-
-    def _clear_waits(self) -> None:
         if self._pending_event is not None:
             self._sim.cancel(self._pending_event)
             self._pending_event = None
-        if self._waiting_on is not None:
-            self._waiting_on._remove_waiter(self)
-            self._waiting_on = None
+        self._step(Interrupt(cause), throw=True)
 
     def _resume(self, value: Any) -> None:
         self._pending_event = None
-        self._waiting_on = None
         self._step(value, throw=False)
 
     def _step(self, value: Any, *, throw: bool) -> None:
@@ -150,36 +90,29 @@ class Process:
                 yielded = self._generator.throw(value)
             else:
                 yielded = self._generator.send(value)
-        except StopIteration as stop:
+        except StopIteration:
             self._alive = False
-            self.result = stop.value
-            self.done.trigger(self.result)
             return
         except Interrupt:
             # Interrupt not handled by the generator: the process dies quietly.
             self._alive = False
-            self.done.trigger(None)
             return
         self._arm(yielded)
 
     def _arm(self, yielded: Any) -> None:
-        """Install the wait described by what the generator yielded."""
-        if isinstance(yielded, (int, float)):
-            if yielded < 0:
-                self._alive = False
-                raise SimulationError(
-                    f"process {self.name!r} yielded a negative delay {yielded!r}"
-                )
-            self._pending_event = self._sim.schedule(float(yielded), self._resume, None)
-        elif isinstance(yielded, Signal):
-            self._waiting_on = yielded
-            yielded._add_waiter(self)
-        else:
+        """Schedule the wake-up after the delay the generator yielded."""
+        if not isinstance(yielded, (int, float)):
             self._alive = False
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported value {yielded!r}; "
-                "yield a delay (seconds) or a Signal"
+                "yield a delay (seconds)"
             )
+        if yielded < 0:
+            self._alive = False
+            raise SimulationError(
+                f"process {self.name!r} yielded a negative delay {yielded!r}"
+            )
+        self._pending_event = self._sim.schedule(float(yielded), self._resume, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self._alive else "done"

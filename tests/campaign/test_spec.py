@@ -42,7 +42,7 @@ class TestConfigCodec:
         cfg = HighwayConfig(speed_ms=22.0)
         rebuilt = config_from_dict(HighwayConfig, config_to_dict(cfg))
         assert rebuilt == cfg
-        assert rebuilt.carq.batch_requests is True
+        assert rebuilt.carq.max_batch == 64
 
     def test_tuple_fields_survive_json_shape(self):
         cfg = UrbanScenarioConfig()
@@ -58,6 +58,20 @@ class TestConfigCodec:
     def test_unknown_nested_key_is_rejected(self):
         with pytest.raises(CampaignError, match="n_carz"):
             config_from_dict(UrbanScenarioConfig, {"platoon": {"n_carz": 8}})
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"radio": {"cull_headroom_db": 12.0}}, "cull_headroom_db"),
+            ({"carq": {"batch_requests": True}}, "batch_requests"),
+            ({"carq": {"buffer_overheard_responses": True}},
+             "buffer_overheard_responses"),
+        ],
+    )
+    def test_deleted_field_is_rejected(self, data, field):
+        # A spec saved before these fields were deleted names the key.
+        with pytest.raises(CampaignError, match=f"unknown config field.*: {field}$"):
+            config_from_dict(HighwayConfig, data)
 
     def test_partial_base_takes_defaults(self):
         cfg = config_from_dict(UrbanScenarioConfig, {"seed": 5})
@@ -164,6 +178,16 @@ class TestApplyOverride:
     def test_descending_into_leaf_raises(self):
         with pytest.raises(CampaignError, match="leaf"):
             apply_override(UrbanScenarioConfig(), "seed.deeper", 1)
+
+    @pytest.mark.parametrize(
+        "path",
+        ["radio.cull_headroom_db", "carq.batch_requests",
+         "carq.buffer_overheard_responses"],
+    )
+    def test_deleted_field_raises(self, path):
+        leaf = path.rpartition(".")[2]
+        with pytest.raises(CampaignError, match=f"'{leaf}' does not exist"):
+            apply_override(HighwayConfig(), path, 1)
 
     def test_int_fits_a_float_field(self):
         cfg = apply_override(HighwayConfig(), "speed_ms", 20)

@@ -12,7 +12,7 @@ class TestCarqConfigDefaults:
         cfg = CarqConfig()
         assert cfg.coverage_timeout_s == 5.0     # §3.3: "5 seconds"
         assert cfg.hello_period_s == 1.0
-        assert not cfg.batch_requests            # base protocol: one seq/REQUEST
+        assert cfg.max_batch == 1                # base protocol: one seq/REQUEST
         assert cfg.recovery_range == "platoon"
         assert cfg.buffer_capacity is None
 

@@ -78,9 +78,9 @@ class TestSelectionIntegration:
 
 class TestOverhearingFlag:
     def test_overheard_responses_buffered_when_enabled(self):
-        sim, channel, _, _, cars = make_testbed(
-            config=fast_config(buffer_overheard_responses=True)
-        )
+        # Every cooperator buffers overheard responses for its partners
+        # (the buffering rule of §3.2).
+        sim, channel, _, _, cars = make_testbed(config=fast_config())
         # CAR1 misses seq 5; CAR3 also never got it from the AP but could
         # learn it from CAR2's coop response.
         channel.drop_ap_data(CAR1, CAR1, {5})
@@ -88,16 +88,6 @@ class TestOverhearingFlag:
         channel.blackout_ap_after(5.0)
         sim.run(until=12.0)
         assert cars[CAR3].protocol.coop_buffer.has(CAR1, 5)
-
-    def test_overheard_responses_ignored_when_disabled(self):
-        sim, channel, _, _, cars = make_testbed(
-            config=fast_config(buffer_overheard_responses=False)
-        )
-        channel.drop_ap_data(CAR1, CAR1, {5})
-        channel.drop_ap_data(CAR3, CAR1, {5})
-        channel.blackout_ap_after(5.0)
-        sim.run(until=12.0)
-        assert not cars[CAR3].protocol.coop_buffer.has(CAR1, 5)
 
 
 class TestHelloContents:

@@ -2,20 +2,11 @@
 
 import pytest
 
-from repro.core.retransmission import (
-    AdaptiveRetransmission,
-    FixedRetransmission,
-    NoRetransmission,
-)
+from repro.core.retransmission import FixedRetransmission
 from repro.errors import ConfigurationError
 from repro.mac.frames import NodeId
 
 CAR = NodeId(1)
-
-
-class TestNoRetransmission:
-    def test_single_copy(self):
-        assert NoRetransmission().copies_for(CAR, 1) == 1
 
 
 class TestFixedRetransmission:
@@ -27,26 +18,3 @@ class TestFixedRetransmission:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             FixedRetransmission(0)
-
-
-class TestAdaptiveRetransmission:
-    def test_copies_shrink_with_cooperators(self):
-        counts = {CAR: 0}
-        policy = AdaptiveRetransmission(3, lambda car: counts[car])
-        assert policy.copies_for(CAR, 1) == 3
-        counts[CAR] = 1
-        assert policy.copies_for(CAR, 2) == 2
-        counts[CAR] = 2
-        assert policy.copies_for(CAR, 3) == 1
-
-    def test_never_below_one(self):
-        policy = AdaptiveRetransmission(2, lambda car: 10)
-        assert policy.copies_for(CAR, 1) == 1
-
-    def test_negative_count_clamped(self):
-        policy = AdaptiveRetransmission(3, lambda car: -5)
-        assert policy.copies_for(CAR, 1) == 3
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            AdaptiveRetransmission(0, lambda car: 0)

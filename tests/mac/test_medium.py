@@ -562,7 +562,7 @@ class TestBatchKernel:
 
         class ScriptedChannel(Channel):
             def sample(self, tx_id, rx_id, tx_pos, rx_pos, tx_power_dbm,
-                       rx_gain_db=0.0, time=0.0, *, tx_seq=None, budget=None):
+                       rx_gain_db=0.0, time=0.0, *, tx_seq, budget=None):
                 return LinkSample(-60.0, -60.0, 10.0)
 
         def scripted_channel(sim):

@@ -138,19 +138,8 @@ class TestBatchPositions:
         a = Polyline([Vec2(0, 0), Vec2(10, 0)])
         b = Polyline([Vec2(0, 0), Vec2(10, 0)])
         assert PathMobility(a, 1.0).batch_key() != PathMobility(b, 1.0).batch_key()
-        # Static mounts share one group; path and static never mix.
-        assert StaticMobility(Vec2(0, 0)).batch_key() == ("static",)
-        assert StaticMobility(Vec2(0, 0)).batch_key() != PathMobility(a, 1.0).batch_key()
-
-    def test_static_group_query_matches_scalar(self):
-        import numpy as np
-
-        models = [StaticMobility(Vec2(3.0 * i, -i)) for i in range(9)]
-        assert len({m.batch_key() for m in models}) == 1
-        xs, ys = StaticMobility.positions_at_time(models, 4.2)
-        for m, x, y in zip(models, xs.tolist(), ys.tolist()):
-            p = m.position(4.2)
-            assert (x, y) == (p.x, p.y)
+        # Static mounts join no group: the medium reads each position.
+        assert StaticMobility(Vec2(0, 0)).batch_key() is None
 
     def test_trace_group_query_matches_scalar(self):
         track = Polyline([Vec2(0, 0), Vec2(100, 0), Vec2(100, 80)], closed=False)

@@ -141,6 +141,18 @@ class TestRenderStatsReport:
         assert "packet buffer" in report
         assert "75.0% hits" in report
 
+    def test_evictions_without_lookups_render(self):
+        # A bounded buffer evicts during coverage, before any REQUEST
+        # makes a lookup: the evictions must still show.
+        reg = MetricsRegistry()
+        reg.counter("buffer.hits")
+        reg.counter("buffer.misses")
+        reg.counter("buffer.evictions").inc(373)
+        report = render_stats_report(reg.snapshot())
+        assert "packet buffer" in report
+        assert "373 evictions" in report
+        assert "% hits" not in report
+
     def test_unknown_metrics_land_in_other(self):
         snap = {"custom.thing": {"type": "counter", "value": 3}}
         report = render_stats_report(snap)

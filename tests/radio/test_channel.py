@@ -33,13 +33,13 @@ class TestLinkKey:
 class TestSample:
     def test_deterministic_without_random_components(self):
         channel = ideal_channel()
-        s1 = channel.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0)
-        s2 = channel.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0)
+        s1 = channel.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0, tx_seq=1)
+        s2 = channel.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0, tx_seq=1)
         assert s1.rx_power_dbm == s2.rx_power_dbm
 
     def test_budget_arithmetic(self):
         channel = ideal_channel()
-        sample = channel.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0)
+        sample = channel.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0, tx_seq=1)
         # 15 dBm - (40 + 30·log10(10)) = 15 - 70 = -55 dBm.
         assert sample.rx_power_dbm == pytest.approx(-55.0)
         assert sample.mean_rx_power_dbm == pytest.approx(-55.0)
@@ -47,13 +47,15 @@ class TestSample:
 
     def test_rx_gain_adds(self):
         channel = ideal_channel()
-        with_gain = channel.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0, rx_gain_db=6.0)
+        with_gain = channel.sample(
+            "a", "b", Vec2(0, 0), Vec2(10, 0), 15.0, rx_gain_db=6.0, tx_seq=1
+        )
         assert with_gain.rx_power_dbm == pytest.approx(-49.0)
 
     def test_power_decreases_with_distance(self):
         channel = ideal_channel()
-        near = channel.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0)
-        far = channel.sample("a", "b", Vec2(0, 0), Vec2(100, 0), 15.0)
+        near = channel.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0, tx_seq=1)
+        far = channel.sample("a", "b", Vec2(0, 0), Vec2(100, 0), 15.0, tx_seq=1)
         assert far.rx_power_dbm < near.rx_power_dbm
 
     def test_obstruction_applied(self):
@@ -65,15 +67,15 @@ class TestSample:
             rng=np.random.default_rng(0),
         )
         clear = ideal_channel()
-        b = blocked.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0)
-        c = clear.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0)
+        b = blocked.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0, tx_seq=1)
+        c = clear.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0, tx_seq=1)
         assert b.rx_power_dbm == pytest.approx(c.rx_power_dbm - 30.0)
 
 
 class TestDelivery:
     def test_strong_signal_always_delivered(self):
         channel = ideal_channel()
-        sample = channel.sample("a", "b", Vec2(0, 0), Vec2(5, 0), 15.0)
+        sample = channel.sample("a", "b", Vec2(0, 0), Vec2(5, 0), 15.0, tx_seq=1)
 
         class F:
             size_bytes = 1000
@@ -84,7 +86,7 @@ class TestDelivery:
 
     def test_buried_signal_never_delivered(self):
         channel = ideal_channel()
-        sample = channel.sample("a", "b", Vec2(0, 0), Vec2(5000, 0), 15.0)
+        sample = channel.sample("a", "b", Vec2(0, 0), Vec2(5000, 0), 15.0, tx_seq=1)
 
         class F:
             size_bytes = 1000
@@ -98,7 +100,7 @@ class TestDelivery:
 
         shadowing = GudmundsonShadowing(np.random.default_rng(1), sigma_db=6.0)
         channel = Channel(shadowing=shadowing, rng=np.random.default_rng(2))
-        s1 = channel.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0)
+        s1 = channel.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0, tx_seq=1)
         channel.reset()
-        s2 = channel.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0)
+        s2 = channel.sample("a", "b", Vec2(0, 0), Vec2(10, 0), 15.0, tx_seq=1)
         assert s1.rx_power_dbm != s2.rx_power_dbm

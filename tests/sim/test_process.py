@@ -1,9 +1,9 @@
-"""Generator-process semantics: delays, signals, interrupts."""
+"""Generator-process semantics: delays and interrupts."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Interrupt, Signal, Simulator
+from repro.sim import Interrupt, Simulator
 
 
 class TestDelays:
@@ -17,9 +17,10 @@ class TestDelays:
             yield 2.5
             ticks.append(sim.now)
 
-        sim.process(proc())
+        p = sim.process(proc())
         sim.run()
         assert ticks == [1.0, 3.5]
+        assert not p.alive
 
     def test_yield_int_accepted(self):
         sim = Simulator()
@@ -70,92 +71,6 @@ class TestDelays:
             sim.run()
 
 
-class TestResult:
-    def test_result_captured(self):
-        sim = Simulator()
-
-        def proc():
-            yield 1.0
-            return 42
-
-        p = sim.process(proc())
-        sim.run()
-        assert not p.alive
-        assert p.result == 42
-
-    def test_done_signal_triggers_with_result(self):
-        sim = Simulator()
-        results = []
-
-        def proc():
-            yield 1.0
-            return "done"
-
-        p = sim.process(proc())
-        p.done.subscribe(results.append)
-        sim.run()
-        assert results == ["done"]
-
-
-class TestSignals:
-    def test_wait_and_trigger_value(self):
-        sim = Simulator()
-        signal = Signal("data")
-        got = []
-
-        def waiter():
-            value = yield signal
-            got.append((sim.now, value))
-
-        sim.process(waiter())
-        sim.schedule(3.0, signal.trigger, "hello")
-        sim.run()
-        assert got == [(3.0, "hello")]
-
-    def test_trigger_wakes_all_waiters(self):
-        sim = Simulator()
-        signal = Signal()
-        got = []
-
-        def waiter(tag):
-            value = yield signal
-            got.append((tag, value))
-
-        sim.process(waiter("a"))
-        sim.process(waiter("b"))
-        sim.schedule(1.0, signal.trigger, 7)
-        sim.run()
-        assert sorted(got) == [("a", 7), ("b", 7)]
-
-    def test_trigger_without_waiters_is_noop(self):
-        Signal().trigger("nobody")
-
-    def test_subscribe_and_unsubscribe(self):
-        signal = Signal()
-        seen = []
-        signal.subscribe(seen.append)
-        signal.trigger(1)
-        signal.unsubscribe(seen.append)
-        signal.trigger(2)
-        assert seen == [1]
-
-    def test_second_trigger_does_not_rewake(self):
-        sim = Simulator()
-        signal = Signal()
-        got = []
-
-        def waiter():
-            value = yield signal
-            got.append(value)
-            yield 10.0  # now sleeping, not waiting on the signal
-
-        sim.process(waiter())
-        sim.schedule(1.0, signal.trigger, "first")
-        sim.schedule(2.0, signal.trigger, "second")
-        sim.run()
-        assert got == ["first"]
-
-
 class TestInterrupts:
     def test_interrupt_during_sleep(self):
         sim = Simulator()
@@ -171,25 +86,6 @@ class TestInterrupts:
         sim.schedule(5.0, p.interrupt, "wake-up")
         sim.run()
         assert log == [(5.0, "wake-up")]
-
-    def test_interrupt_during_signal_wait(self):
-        sim = Simulator()
-        signal = Signal()
-        log = []
-
-        def waiter():
-            try:
-                yield signal
-            except Interrupt:
-                log.append(sim.now)
-
-        p = sim.process(waiter())
-        sim.schedule(2.0, p.interrupt)
-        sim.run()
-        assert log == [2.0]
-        # Triggering afterwards must not resurrect the process.
-        signal.trigger("late")
-        assert not p.alive
 
     def test_unhandled_interrupt_kills_quietly(self):
         sim = Simulator()

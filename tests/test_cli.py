@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from repro.campaign.spec import CampaignSpec, config_to_dict
 from repro.cli import build_parser, main
+from repro.scenarios import get_scenario
 from repro.scenarios.highway import HighwayConfig
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -125,8 +127,8 @@ class TestInputsThatCannotRun:
                 "speed_ms=inf",
             ),
             # One NaN per scenario in the fields that the sender's and
-            # the beacon's jitter formulas, and the reachability bound,
-            # take without raising.
+            # the beacon's jitter formulas, and the reachability bound
+            # (through the transmit power), take without raising.
             (
                 ["campaign", "run", "--scenario", "urban", "--rounds", "1",
                  "--set", "packet_rate_hz=NaN"],
@@ -134,8 +136,8 @@ class TestInputsThatCannotRun:
             ),
             (
                 ["campaign", "run", "--scenario", "highway", "--rounds", "1",
-                 "--set", "radio.cull_headroom_db=NaN"],
-                "cull_headroom_db=nan",
+                 "--set", "radio.car_tx_power_dbm=NaN"],
+                "car_tx_power_dbm=nan",
             ),
             (
                 ["campaign", "run", "--scenario", "bidirectional", "--rounds", "1",
@@ -155,7 +157,7 @@ class TestInputsThatCannotRun:
         ],
         ids=[
             "speeds-nan", "set-nan-speed", "set-infinite-road", "set-infinite-speed",
-            "urban-nan-rate", "highway-nan-headroom", "bidirectional-nan-lane",
+            "urban-nan-rate", "highway-nan-tx-power", "bidirectional-nan-lane",
             "multi_ap-nan-rate", "trace-nan-hello",
         ],
     )
@@ -236,6 +238,40 @@ class TestInputsThatCannotRun:
         assert bad in captured.err
         assert len(captured.err.splitlines()) == 1
         assert not store.exists()
+
+    @pytest.mark.parametrize(
+        "scenario, block, field, value",
+        [
+            ("highway", "radio", "cull_headroom_db", 12.0),
+            ("urban", "carq", "batch_requests", True),
+            ("trace", "carq", "buffer_overheard_responses", False),
+        ],
+        ids=["cull-headroom", "batch-requests", "buffer-overheard-responses"],
+    )
+    def test_deleted_field_is_an_error_line(
+        self, scenario, block, field, value, capsys, tmp_path
+    ):
+        # Fields that no config has (a spec saved by an older tree may
+        # still carry them): given by --set or in a spec file, each one
+        # exits 2 with one line that names it, and nothing runs.
+        store = tmp_path / "store.jsonl"
+        base = config_to_dict(get_scenario(scenario).default_config())
+        base[block][field] = value
+        CampaignSpec(
+            name="old", scenario=scenario, seed=1, rounds=1, base=base
+        ).save(tmp_path / "spec.json")
+        for source in (
+            ["--scenario", scenario, "--rounds", "1",
+             "--set", f"{block}.{field}={json.dumps(value)}"],
+            ["--spec", str(tmp_path / "spec.json")],
+        ):
+            assert main(["campaign", "run", *source, "--store", str(store)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("campaign: ")
+            assert field in captured.err
+            assert len(captured.err.splitlines()) == 1
+            assert not store.exists()
 
     def test_mistyped_spec_file_is_an_error_line(self, capsys, tmp_path):
         base = {**config_to_dict(HighwayConfig()), "speed_ms": "fast"}
