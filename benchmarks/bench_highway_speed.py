@@ -68,7 +68,7 @@ def test_highway_speed_sweep(benchmark, artifact_sink):
     assert points[-1].lost_before_fraction > points[0].lost_before_fraction
 
 
-def test_highway_large_n_fast_path(benchmark, bench_json_sink):
+def test_highway_large_n_fast_path(benchmark):
     """Largest-N highway: 96 vehicles over 14.6 km of dense traffic.
 
     Dense through-traffic (``spread_along_road``, 150 m gaps) is the
@@ -103,16 +103,7 @@ def test_highway_large_n_fast_path(benchmark, bench_json_sink):
 
     batch = benchmark.pedantic(window_seconds, args=(True,), rounds=1, iterations=1)
     exhaustive = window_seconds(False)
-    bench_json_sink(
-        "highway.large_n",
-        {
-            "radios": 97,
-            "window_s": 5.0,
-            "batch_s": round(batch, 3),
-            "exhaustive_s": round(exhaustive, 3),
-            "speedup": round(exhaustive / batch, 2),
-        },
-    )
-    # Generous floor for noisy CI boxes; BENCH_kernel.json records the
-    # actual ratio measured on an idle machine.
+    print(f"\n97 radios, 5 s window: batch {batch:.3f} s, "
+          f"exhaustive {exhaustive:.3f} s, speedup {exhaustive / batch:.2f}")
+    # Generous floor: one window per arm is a noisy timing.
     assert exhaustive / batch > 1.4

@@ -73,7 +73,7 @@ def test_multi_ap_download(benchmark, artifact_sink):
     assert coop_incomplete <= direct_incomplete
 
 
-def test_multi_ap_large_n_fast_path(benchmark, bench_json_sink):
+def test_multi_ap_large_n_fast_path(benchmark):
     """Largest-N corridor: 20 infostations + 48 cars (68 radios).
 
     A dense car wave passing closely spaced infostations: the wave's
@@ -109,16 +109,7 @@ def test_multi_ap_large_n_fast_path(benchmark, bench_json_sink):
 
     batch = benchmark.pedantic(window_seconds, args=(True,), rounds=1, iterations=1)
     exhaustive = window_seconds(False)
-    bench_json_sink(
-        "multi_ap.large_n",
-        {
-            "radios": 68,
-            "window_s": 10.0,
-            "batch_s": round(batch, 3),
-            "exhaustive_s": round(exhaustive, 3),
-            "speedup": round(exhaustive / batch, 2),
-        },
-    )
-    # Generous floor for noisy CI boxes; BENCH_kernel.json records the
-    # actual ratio measured on an idle machine.
+    print(f"\n68 radios, 10 s window: batch {batch:.3f} s, "
+          f"exhaustive {exhaustive:.3f} s, speedup {exhaustive / batch:.2f}")
+    # Generous floor: one window per arm is a noisy timing.
     assert exhaustive / batch > 1.5

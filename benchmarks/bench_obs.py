@@ -5,12 +5,12 @@ clause: with the registry disabled and no tracer installed, the only
 cost left on the event hot path is one attribute load plus an ``is``
 test per event.  This bench pins that clause with a measured number —
 the disabled-probe overhead against a control simulator whose ``step``
-and ``schedule_at`` carry no instrumentation at all — and records the
+and ``schedule_at`` carry no instrumentation at all — and prints the
 fully-enabled cost alongside it for scale.
 
-The committed BENCH_kernel.json entry must show ``overhead_disabled_pct``
-within the ≤2% budget; the in-test assertion is looser (shared CI boxes
-jitter) but still catches a probe accidentally left unguarded.  Values
+On an idle machine the printed disabled overhead reads within the ≤2%
+budget; the in-test assertion is looser (shared CI boxes jitter) but
+still catches a probe accidentally left unguarded.  Values
 inside roughly ±2% are the noise floor of this measurement — the guard
 costs tens of nanoseconds against a ~2 µs event dispatch — so small
 negative figures just mean "indistinguishable from zero".
@@ -73,7 +73,7 @@ def _min_of(fn, repeats=REPEATS) -> float:
     return min(fn() for _ in range(repeats))
 
 
-def test_disabled_probe_overhead(bench_json_sink):
+def test_disabled_probe_overhead():
     """The pinned clause: probes compiled out cost ≤2% on the hot loop.
 
     Three arms over the identical 50k-event drain:
@@ -115,25 +115,16 @@ def test_disabled_probe_overhead(bench_json_sink):
 
     overhead_disabled_pct = (ratio - 1.0) * 100.0
     overhead_enabled_pct = (enabled_s / bare_s - 1.0) * 100.0
-    bench_json_sink(
-        "obs.disabled_probe_overhead",
-        {
-            "events": N_EVENTS,
-            "repeats": REPEATS,
-            "bare_s": round(bare_s, 4),
-            "disabled_s": round(disabled_s, 4),
-            "enabled_s": round(enabled_s, 4),
-            "overhead_disabled_pct": round(overhead_disabled_pct, 2),
-            "overhead_enabled_pct": round(overhead_enabled_pct, 1),
-        },
-    )
-    # The committed number demonstrates ≤2%; the gate here is loose
-    # enough for noisy shared runners yet fails hard if a probe ever
-    # runs unguarded on the disabled path (that costs tens of percent).
+    print(f"\n{N_EVENTS} events: bare {bare_s:.4f} s, disabled {disabled_s:.4f} s, "
+          f"enabled {enabled_s:.4f} s; overhead disabled "
+          f"{overhead_disabled_pct:.2f} %, enabled {overhead_enabled_pct:.1f} %")
+    # The budget is ≤2%; the gate here is loose enough for noisy shared
+    # runners yet fails hard if a probe ever runs unguarded on the
+    # disabled path (that costs tens of percent).
     assert overhead_disabled_pct < 10.0
 
 
-def test_enabled_instrumentation_counts(bench_json_sink):
+def test_enabled_instrumentation_counts():
     """Sanity on the enabled arm: the counters actually count.
 
     Cheap cross-check that the overhead being paid in the enabled arm
@@ -147,11 +138,3 @@ def test_enabled_instrumentation_counts(bench_json_sink):
     assert kernel["sim.events_pushed"]["value"] == N_EVENTS
     assert kernel["sim.events_fired"]["value"] == N_EVENTS
     assert kernel["sim.queue_depth"]["samples"] == N_EVENTS
-    bench_json_sink(
-        "obs.enabled_counts",
-        {
-            "events_pushed": kernel["sim.events_pushed"]["value"],
-            "events_fired": kernel["sim.events_fired"]["value"],
-            "cost_center_rows": len(kernel["sim.cost_centers"]["rows"]),
-        },
-    )

@@ -10,12 +10,11 @@ EXPERIMENTS.md come from these files — and also prints it (visible with
 
 from __future__ import annotations
 
-import json
 import pathlib
 
 import pytest
 
-from repro.ioutil import atomic_write_json, atomic_write_text
+from repro.ioutil import atomic_write_text
 from repro.scenarios import decode_matrix_rows, get_scenario
 from repro.scenarios.urban import UrbanScenarioConfig
 
@@ -24,11 +23,6 @@ from repro.scenarios.urban import UrbanScenarioConfig
 URBAN_ROUNDS = 12
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
-
-#: Machine-readable perf trajectory: kernel and medium throughput numbers
-#: land here so future PRs have a baseline to compare against (the CI
-#: bench-smoke job uploads it as an artifact).
-BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_kernel.json"
 
 
 @pytest.fixture(scope="session")
@@ -39,29 +33,6 @@ def urban_matrices():
     return decode_matrix_rows(
         [urban.run_round(cfg, index) for index in range(URBAN_ROUNDS)]
     )
-
-
-@pytest.fixture(scope="session")
-def bench_json_sink():
-    """Writer that merges ``{key: payload}`` entries into BENCH_kernel.json.
-
-    Entries survive across runs (merge, not overwrite), so one invocation
-    of ``bench_kernel.py`` and one of the scenario benches together build
-    the full perf record.
-    """
-
-    def write(key: str, payload: dict) -> None:
-        data = {"schema": 1, "entries": {}}
-        if BENCH_JSON.exists():
-            data = json.loads(BENCH_JSON.read_text())
-        data.setdefault("entries", {})[key] = payload
-        # Atomic replace: check_bench_regression.py reads this file as a
-        # baseline — an interrupt mid-write must never tear it.
-        atomic_write_json(BENCH_JSON, data)
-        print(f"\n===== BENCH_kernel.json[{key}] =====")
-        print(json.dumps(payload, indent=2, sort_keys=True))
-
-    return write
 
 
 @pytest.fixture(scope="session")

@@ -1,26 +1,23 @@
-"""Durable file-writing helpers: atomic replace for whole-file artifacts.
+"""Durable file writing: atomic replace for whole-file artifacts.
 
 Append-only streams (the campaign result store and its sidecars) get
 their durability from append+flush plus torn-tail-tolerant loading
 (:mod:`repro.campaign.store`).  Whole-file artifacts — campaign spec
-JSON, ``BENCH_kernel.json``, exported trace documents, report text —
-have no such recovery story: an interrupt mid-``write()`` leaves a
-half-written file that the next consumer (``check_bench_regression.py``,
-a spec loader, a trace viewer) chokes on.  These helpers close that
-hole: the content lands in a temporary file in the *same directory*
-(``os.replace`` is only atomic within one filesystem), is flushed and
-fsynced, and then atomically renamed over the destination — so any
-reader ever sees either the old complete file or the new complete file,
-never a torn one.
+JSON, exported trace documents, report text — have no such recovery
+story: an interrupt mid-``write()`` leaves a half-written file that the
+next consumer (a spec loader, a trace viewer) chokes on.  The helper
+closes that hole: the content lands in a temporary file in the *same
+directory* (``os.replace`` is only atomic within one filesystem), is
+flushed and fsynced, and then atomically renamed over the destination —
+so any reader ever sees either the old complete file or the new
+complete file, never a torn one.
 """
 
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import tempfile
-from typing import Any
 
 
 def atomic_write_text(path, text: str, *, encoding: str = "utf-8") -> None:
@@ -47,16 +44,3 @@ def atomic_write_text(path, text: str, *, encoding: str = "utf-8") -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-
-
-def atomic_write_json(
-    path,
-    payload: Any,
-    *,
-    indent: int | None = 2,
-    sort_keys: bool = True,
-) -> None:
-    """Serialise *payload* and write it atomically with a trailing newline."""
-    atomic_write_text(
-        path, json.dumps(payload, indent=indent, sort_keys=sort_keys) + "\n"
-    )

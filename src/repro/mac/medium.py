@@ -82,7 +82,7 @@ from repro.radio.batch import LaneScratch, broadcast_samples
 from repro.radio.channel import Channel, LinkSample
 from repro.radio.modulation import WifiRate
 from repro.sim import Priority, Simulator
-from repro.units import dbm_sum, dbm_sum_batch
+from repro.units import dbm_sum
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.geom import Vec2
@@ -817,13 +817,8 @@ class Medium:
         interferers = arrival.interferers_dbm
         if not interferers:
             noise_plus_interference = noise_floor
-        elif len(interferers) < 8:
-            noise_plus_interference = dbm_sum(noise_floor, *interferers)
         else:
-            # Storm-grade interference: the array-shaped conversion
-            # wins; exact-equivalent to dbm_sum by construction
-            # (pinned in tests/test_units.py).
-            noise_plus_interference = dbm_sum_batch([noise_floor] + interferers)
+            noise_plus_interference = dbm_sum(noise_floor, *interferers)
         snr_db = arrival.sample.rx_power_dbm - noise_plus_interference
         if arrival.half_duplex:
             cause = LossCause.HALF_DUPLEX

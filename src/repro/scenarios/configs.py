@@ -121,17 +121,24 @@ def apply_override(cfg, path: str, value):
     :func:`_fitting`), so a mistyped ``--set`` fails here, naming the
     value, instead of deep inside a round.
     """
-    head, _, rest = path.partition(".")
+    return _override(cfg, path, path, value)
+
+
+def _override(cfg, path: str, below: str, value):
+    """:func:`apply_override` of the dotted *below* under *cfg*, where
+    *below* is the tail of *path*; errors name the whole *path*."""
+    head, _, rest = below.partition(".")
     try:
         current = getattr(cfg, head)
     except AttributeError:
         raise CampaignError(
-            f"override path {path!r} does not exist on {type(cfg).__name__}"
+            f"override path {path!r} does not exist: "
+            f"{type(cfg).__name__} has no field {head!r}"
         ) from None
     if rest:
         if not is_dataclass(current):
             raise CampaignError(f"override path {path!r} descends into a leaf field")
-        return replace(cfg, **{head: apply_override(current, rest, value)})
+        return replace(cfg, **{head: _override(current, path, rest, value)})
     return replace(cfg, **{head: _fitting(type(cfg), head, current, value)})
 
 

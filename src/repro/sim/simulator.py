@@ -151,8 +151,8 @@ class Simulator:
             )
         # schedule_at inlined (minus its past-check, which a non-negative
         # delay satisfies by construction): this is the kernel's hottest
-        # call site and the extra method hop costs ~10% of bench_kernel's
-        # event throughput.
+        # call site and the extra method hop costs ~10% of a
+        # schedule-and-drain loop's event throughput.
         seq = self._seq
         self._seq = seq + 1
         event = self._push_new(self._now + delay, priority, seq, callback, args)
@@ -284,9 +284,8 @@ class Simulator:
             else:
                 # Uninstrumented drain: the queue's serve() generator
                 # replaces a peek_time/pop method pair per event with one
-                # generator resumption (bench_kernel pins the resulting
-                # events/s; bench_obs pins that instrumentation guards
-                # stay off this loop).
+                # generator resumption, a per-event saving (bench_obs pins
+                # that instrumentation guards stay off this loop).
                 for event in queue.serve(until):
                     self._now = event.time
                     event.callback(*event.args)

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 # ---------------------------------------------------------------------------
 # Scalar constants
 # ---------------------------------------------------------------------------
@@ -102,26 +100,6 @@ def dbm_sum(*powers_dbm: float) -> float:
         raise ValueError("dbm_sum() requires at least one power value")
     total_watts = sum(dbm_to_watts(p) for p in powers_dbm)
     return watts_to_dbm(total_watts)
-
-
-def dbm_sum_batch(powers_dbm) -> float:
-    """:func:`dbm_sum` over an array-like of powers, exactly.
-
-    Accepts any 1-D array-like (``np.ndarray``, list, tuple) and returns
-    the same float — bit for bit — as ``dbm_sum(*powers)``.  That pins
-    two deliberate choices: the dBm→W ``pow`` runs through libm per
-    element (NumPy's SIMD ``10**x`` differs in the last ulp), and the
-    watts accumulate sequentially left-to-right (``np.sum``'s pairwise
-    blocking would change the rounding for larger sets).  Only the
-    exponent arithmetic vectorizes — ``(p - 30.0) / 10.0`` is the same
-    float64 expression either way.  Empty input raises ``ValueError``
-    like the scalar form.
-    """
-    values = np.asarray(powers_dbm, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("dbm_sum_batch() requires at least one power value")
-    exponents = ((values - 30.0) / 10.0).tolist()
-    return watts_to_dbm(sum(map((10.0).__pow__, exponents)))
 
 
 # ---------------------------------------------------------------------------

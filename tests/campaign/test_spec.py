@@ -179,14 +179,27 @@ class TestApplyOverride:
         with pytest.raises(CampaignError, match="leaf"):
             apply_override(UrbanScenarioConfig(), "seed.deeper", 1)
 
+    def test_unknown_nested_path_names_the_whole_path(self):
+        with pytest.raises(
+            CampaignError,
+            match="'radio.nonexistent' does not exist: "
+            "RadioEnvironment has no field 'nonexistent'",
+        ):
+            apply_override(UrbanScenarioConfig(), "radio.nonexistent", 12)
+
+    def test_nested_leaf_descent_names_the_whole_path(self):
+        with pytest.raises(
+            CampaignError, match="'carq.max_batch.x' descends into a leaf field"
+        ):
+            apply_override(UrbanScenarioConfig(), "carq.max_batch.x", 12)
+
     @pytest.mark.parametrize(
         "path",
         ["radio.cull_headroom_db", "carq.batch_requests",
          "carq.buffer_overheard_responses"],
     )
     def test_deleted_field_raises(self, path):
-        leaf = path.rpartition(".")[2]
-        with pytest.raises(CampaignError, match=f"'{leaf}' does not exist"):
+        with pytest.raises(CampaignError, match=f"'{path}' does not exist"):
             apply_override(HighwayConfig(), path, 1)
 
     def test_int_fits_a_float_field(self):

@@ -106,3 +106,56 @@ class TestRuns:
             "metrics": {"cpu_s": {"value": 1.5, "unit": "s"}},
         })
         assert ab_pairs.run_once(tmp_path, command) == {"cpu_s": 1.5}
+
+
+METRICS = [
+    metric["name"]
+    for metric in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+]
+
+
+class TestExitStatus:
+    """``main()``'s exit status, which CI's perf gate fails on."""
+
+    def run(self, monkeypatch, change_runs):
+        """Three pairs: every parent run reads 10 on every metric, and
+        the change runs read *change_runs* in turn (a reading, or an
+        exception that the run raises)."""
+        pending = list(change_runs)
+
+        def run_once(root, command):
+            if root.name == "parent":
+                return dict.fromkeys(METRICS, 10.0)
+            reading = pending.pop(0)
+            if isinstance(reading, Exception):
+                raise reading
+            return reading
+
+        monkeypatch.setattr(ab_pairs, "run_once", run_once)
+        return ab_pairs.main(
+            ["parent", "change", "--workload", "multi_ap", "--pairs", "3"]
+        )
+
+    @staticmethod
+    def reading(**values):
+        return {**dict.fromkeys(METRICS, 10.0), **values}
+
+    def test_every_metric_within_bound_exits_0(self, monkeypatch, capsys):
+        runs = [self.reading(cpu_s=v) for v in (10.2, 9.9, 10.1)]
+        assert self.run(monkeypatch, runs) == 0
+        assert "regression" not in capsys.readouterr().out
+
+    def test_a_regression_exits_1(self, monkeypatch, capsys):
+        runs = [self.reading(cpu_s=13.0) for _ in range(3)]
+        assert self.run(monkeypatch, runs) == 1
+        assert "| regression |" in capsys.readouterr().out
+
+    def test_a_refused_run_exits_1(self, monkeypatch, capsys):
+        runs = [self.reading(), ab_pairs.RefusedRun("rows mismatched")]
+        assert self.run(monkeypatch, runs) == 1
+        assert "refused: change run of pair 2" in capsys.readouterr().err
+
+    def test_unresolved_does_not_fail(self, monkeypatch, capsys):
+        runs = [self.reading(cpu_s=v) for v in (7.0, 10.0, 13.0)]
+        assert self.run(monkeypatch, runs) == 0
+        assert "| unresolved |" in capsys.readouterr().out

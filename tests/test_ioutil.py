@@ -1,11 +1,10 @@
 """Atomic file writes: readers never observe a half-written artifact."""
 
-import json
 import os
 
 import pytest
 
-from repro.ioutil import atomic_write_json, atomic_write_text
+from repro.ioutil import atomic_write_text
 
 
 class TestAtomicWriteText:
@@ -37,26 +36,3 @@ class TestAtomicWriteText:
             atomic_write_text(path, Boom())  # not a str: write() rejects it
         assert path.read_text(encoding="utf-8") == "precious"
         assert os.listdir(tmp_path) == ["out.txt"]
-
-
-class TestAtomicWriteJson:
-    def test_round_trips_payload(self, tmp_path):
-        path = tmp_path / "out.json"
-        payload = {"b": [1, 2], "a": {"nested": True}}
-        atomic_write_json(path, payload)
-        assert json.loads(path.read_text(encoding="utf-8")) == payload
-
-    def test_output_is_sorted_and_newline_terminated(self, tmp_path):
-        path = tmp_path / "out.json"
-        atomic_write_json(path, {"b": 1, "a": 2})
-        text = path.read_text(encoding="utf-8")
-        assert text.endswith("\n")
-        assert text.index('"a"') < text.index('"b"')
-
-    def test_unserialisable_payload_leaves_target_untouched(self, tmp_path):
-        path = tmp_path / "out.json"
-        atomic_write_json(path, {"ok": True})
-        with pytest.raises(TypeError):
-            atomic_write_json(path, {"bad": object()})
-        assert json.loads(path.read_text(encoding="utf-8")) == {"ok": True}
-        assert os.listdir(tmp_path) == ["out.json"]

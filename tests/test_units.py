@@ -93,39 +93,3 @@ class TestThermalNoise:
 
     def test_psd_constant_is_minus_174(self):
         assert units.THERMAL_NOISE_DBM_PER_HZ == pytest.approx(-173.98, abs=0.05)
-
-
-class TestDbmSumBatch:
-    """dbm_sum_batch must equal dbm_sum bit for bit, any size."""
-
-    def test_matches_scalar_for_random_sets(self):
-        import numpy as np
-
-        from repro.units import dbm_sum, dbm_sum_batch
-
-        rng = np.random.default_rng(17)
-        for n in [1, 2, 3, 7, 8, 9, 31, 64, 257]:
-            powers = rng.uniform(-120.0, 20.0, n)
-            assert dbm_sum_batch(powers) == dbm_sum(*powers.tolist())
-
-    def test_single_element_is_identity_of_scalar(self):
-        from repro.units import dbm_sum, dbm_sum_batch
-
-        assert dbm_sum_batch([-87.35]) == dbm_sum(-87.35)
-
-    def test_accepts_lists_and_tuples(self):
-        from repro.units import dbm_sum, dbm_sum_batch
-
-        assert dbm_sum_batch([-10.0, -13.0]) == dbm_sum(-10.0, -13.0)
-        assert dbm_sum_batch((-10.0, -13.0)) == dbm_sum(-10.0, -13.0)
-
-    def test_empty_raises_like_scalar(self):
-        import numpy as np
-        import pytest
-
-        from repro.units import dbm_sum_batch
-
-        with pytest.raises(ValueError):
-            dbm_sum_batch(np.array([]))
-        with pytest.raises(ValueError):
-            dbm_sum_batch([])
