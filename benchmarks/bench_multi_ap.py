@@ -76,12 +76,12 @@ def test_multi_ap_download(benchmark, artifact_sink):
 def test_multi_ap_large_n_fast_path(benchmark):
     """Largest-N corridor: 20 infostations + 48 cars (68 radios).
 
-    A dense car wave passing closely spaced infostations: the wave's
-    broadcasts carry ~60 candidates each (the batch kernel's regime)
-    while the many out-of-range infostations keep beaconing into
-    near-empty neighborhoods (3-candidate sets, scalar loop) — so this
-    case measures the *blended* end-to-end win, protocol and event
-    kernel included, not just the reception pipeline.  Two arms over a
+    A dense car wave passing closely spaced infostations: every
+    broadcast past its transmitter's reach horizon offers the whole wave
+    as candidates (the batch kernel's regime), while infostations out of
+    every car's reach beacon unheard — so this case measures the
+    *blended* end-to-end win, protocol and event kernel included, not
+    just the reception pipeline.  Two arms over a
     fixed 10-simulated-second window, the production path and the
     exhaustive scalar oracle; outcomes are pinned bit-identical by
     ``tests/scenarios/test_fast_path_ab.py``.

@@ -1038,21 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress codes matching PREFIX (repeatable)",
     )
     lint.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help="baseline file (default: tools/lint_baseline.json if present)",
-    )
-    lint.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline from current findings (refuses growth)",
-    )
-    lint.add_argument(
-        "--allow-growth",
-        action="store_true",
-        help="permit --write-baseline to add new entries",
-    )
-    lint.add_argument(
         "--stats",
         action="store_true",
         help="emit per-rule hit counts as an obs metrics snapshot (JSON)",

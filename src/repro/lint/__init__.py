@@ -30,13 +30,6 @@ from repro.lint import (  # noqa: F401
     probes as _probes,
     robustness as _robustness,
 )
-from repro.lint.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    render_baseline,
-    write_baseline,
-)
 from repro.lint.framework import (
     DETERMINISM_PACKAGES,
     HOT_PACKAGES,
@@ -62,7 +55,6 @@ from repro.lint.runner import (
 )
 
 __all__ = [
-    "BaselineError",
     "DETERMINISM_PACKAGES",
     "FRAMEWORK_CODES",
     "Finding",
@@ -73,17 +65,13 @@ __all__ = [
     "Rule",
     "Waiver",
     "all_rules",
-    "apply_baseline",
     "collect_files",
     "get_rule",
     "lint_file",
     "lint_paths",
-    "load_baseline",
     "logical_path",
     "register",
-    "render_baseline",
     "render_json",
     "render_text",
     "stats_snapshot",
-    "write_baseline",
 ]

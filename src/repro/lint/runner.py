@@ -1,13 +1,12 @@
-"""The ``reprolint`` runner: collect files, run rules, apply waivers &
-baseline, render text/JSON/stats output.
+"""The ``reprolint`` runner: collect files, run rules, apply waivers,
+render text/JSON/stats output.
 
 Exit-code semantics (consumed by CI):
 
-* ``0`` — clean: no reported findings, no stale baseline entries;
-* ``1`` — findings reported, or the committed baseline has stale
-  entries (debt was paid down; the file must be rewritten);
-* ``2`` — usage or internal error (unknown rule code, unreadable
-  baseline, path does not exist).
+* ``0`` — clean: no reported findings;
+* ``1`` — findings reported;
+* ``2`` — usage or internal error (unknown rule code, path does not
+  exist).
 
 ``--select``/``--ignore`` filter *reporting* by code prefix
 (``--select RPL1`` keeps the determinism family).  Every rule always
@@ -23,7 +22,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
-from repro.lint import baseline as baseline_mod
 from repro.lint.framework import Finding, ModuleContext, all_rules
 
 #: Codes emitted by the framework itself rather than a registered rule.
@@ -41,24 +39,16 @@ class LintReport:
     files: list[str] = field(default_factory=list)
     findings: list[Finding] = field(default_factory=list)
     waived: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    stale_baseline: list[baseline_mod.BaselineKey] = field(default_factory=list)
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.findings or self.stale_baseline else 0
+        return 1 if self.findings else 0
 
     def summary(self) -> str:
-        parts = [
-            f"{len(self.files)} file(s)",
-            f"{len(self.findings)} finding(s)",
-            f"{len(self.waived)} waived",
-        ]
-        if self.baselined:
-            parts.append(f"{len(self.baselined)} baselined")
-        if self.stale_baseline:
-            parts.append(f"{len(self.stale_baseline)} stale baseline entr(y/ies)")
-        return ", ".join(parts)
+        return (
+            f"{len(self.files)} file(s), {len(self.findings)} finding(s), "
+            f"{len(self.waived)} waived"
+        )
 
 
 def collect_files(paths: Sequence[str | Path]) -> list[Path]:
@@ -84,7 +74,7 @@ def collect_files(paths: Sequence[str | Path]) -> list[Path]:
 def lint_file(path: str | Path, source: str | None = None) -> tuple[
     list[Finding], list[Finding]
 ]:
-    """``(reported, waived)`` findings for one file (no baseline)."""
+    """``(reported, waived)`` findings for one file."""
     path = Path(path)
     if source is None:
         source = path.read_text(encoding="utf-8")
@@ -143,9 +133,8 @@ def lint_paths(
     *,
     select: Sequence[str] | None = None,
     ignore: Sequence[str] | None = None,
-    baseline_path: str | Path | None = None,
 ) -> LintReport:
-    """Run every rule over *paths* and fold in waivers plus baseline."""
+    """Run every rule over *paths* and fold in waivers."""
     report = LintReport()
     all_reported: list[Finding] = []
     for path in collect_files(paths):
@@ -154,21 +143,10 @@ def lint_paths(
         all_reported.extend(reported)
         report.waived.extend(waived)
 
-    all_reported = [
-        f
-        for f in all_reported
-        if _code_selected(f.code, select, ignore)
-    ]
-
-    if baseline_path is not None and Path(baseline_path).exists():
-        budgets = baseline_mod.load_baseline(baseline_path)
-        all_reported, baselined, stale = baseline_mod.apply_baseline(
-            all_reported, budgets
-        )
-        report.baselined = baselined
-        report.stale_baseline = stale
-
-    report.findings = sorted(all_reported, key=Finding.sort_key)
+    report.findings = sorted(
+        (f for f in all_reported if _code_selected(f.code, select, ignore)),
+        key=Finding.sort_key,
+    )
     report.waived.sort(key=Finding.sort_key)
     return report
 
@@ -178,11 +156,6 @@ def lint_paths(
 
 def render_text(report: LintReport, *, verbose: bool = False) -> str:
     lines = [finding.render() for finding in report.findings]
-    for module, code, context in report.stale_baseline:
-        lines.append(
-            f"{module}: stale baseline entry ({code} in {context}) — "
-            f"rewrite with --write-baseline"
-        )
     if verbose:
         lines.extend(f"waived: {f.render()}" for f in report.waived)
     lines.append(report.summary())
@@ -204,11 +177,6 @@ def render_json(report: LintReport) -> dict[str, Any]:
         "files": len(report.files),
         "findings": [row(f) for f in report.findings],
         "waived": [row(f) for f in report.waived],
-        "baselined": [row(f) for f in report.baselined],
-        "stale_baseline": [
-            {"module": m, "code": c, "context": ctx}
-            for m, c, ctx in report.stale_baseline
-        ],
         "exit_code": report.exit_code,
     }
 
@@ -228,17 +196,14 @@ def stats_snapshot(report: LintReport) -> dict[str, Any]:
     registry.counter("lint.files").inc(len(report.files))
     registry.counter("lint.findings").inc(len(report.findings))
     registry.counter("lint.waived").inc(len(report.waived))
-    registry.counter("lint.baselined").inc(len(report.baselined))
     hits = registry.table("lint.rule_hits")
-    for finding in report.findings + report.waived + report.baselined:
+    for finding in report.findings + report.waived:
         registry.counter(f"lint.rule_hits.{finding.code}").inc()
         hits.add(finding.code, 1.0)
     return registry.snapshot()
 
 
 # -- CLI entry (wired through ``repro lint``) ---------------------------------
-
-_DEFAULT_BASELINE = Path("tools/lint_baseline.json")
 
 
 def main(args: Any) -> int:
@@ -249,33 +214,8 @@ def main(args: Any) -> int:
             if not any(code.startswith(prefix) for code in known):
                 print(f"error: no rule code matches prefix {prefix!r}")
                 return 2
-
-        baseline_path: Path | None = (
-            Path(args.baseline) if args.baseline else _DEFAULT_BASELINE
-        )
-
-        if args.write_baseline:
-            report = lint_paths(
-                args.paths, select=args.select, ignore=args.ignore
-            )
-            document = baseline_mod.write_baseline(
-                baseline_path,
-                report.findings,
-                allow_growth=args.allow_growth,
-            )
-            print(
-                f"wrote {baseline_path}: {len(document['entries'])} entr(y/ies) "
-                f"covering {len(report.findings)} finding(s)"
-            )
-            return 0
-
-        report = lint_paths(
-            args.paths,
-            select=args.select,
-            ignore=args.ignore,
-            baseline_path=baseline_path,
-        )
-    except (FileNotFoundError, baseline_mod.BaselineError) as exc:
+        report = lint_paths(args.paths, select=args.select, ignore=args.ignore)
+    except FileNotFoundError as exc:
         print(f"error: {exc}")
         return 2
 

@@ -14,15 +14,16 @@ Reception pipeline per (frame, receiver):
 
 0. skip the receiver lookup altogether while the transmitter is before
    its reach horizon: a simulated time before which no other attached
-   radio can be inside the transmitter's reach radius R (the neighbor
-   index's radius for its power, plus a 1 m guard).  One scan over the
-   other radios finds the nearest distance d; if d > R, no radio can
-   close the gap before ``now + (d - R) / (2 · speed bound)``, since
-   both ends move at most that fast.  Every link such a
-   broadcast would have looked at fails step 1's bound, and a culled
-   link draws no randomness, so skipping them is exact.  The broadcast
-   still takes its ``tx_seq``, calls the trace's ``on_tx`` hook and marks
-   the transmitter's own arrivals half-duplex.  Past its horizon, a
+   radio can be inside the transmitter's reach radius R (the distance
+   past which its power cannot pass any receiver's step-1 bound, plus a
+   1 m guard).  One scan over the other radios finds the nearest
+   distance d; if d > R, no radio can close the gap before
+   ``now + (d - R) / (2 · speed bound)``, since both ends move at most
+   that fast.  Every link such a broadcast would have looked at fails
+   step 1's bound, and a culled link draws no randomness, so skipping
+   them is exact.  The broadcast still takes its ``tx_seq``, calls the
+   trace's ``on_tx`` hook and marks the transmitter's own arrivals
+   half-duplex.  Past its horizon, a
    fixed transmitter (one whose model's top speed is 0) skips the fixed
    receivers in its cull verdict: those that failed step 1's bound when
    it was evaluated once, at the transmitter's first full-path
@@ -45,12 +46,11 @@ Reception pipeline per (frame, receiver):
 6. a receiver that transmitted during any part of the arrival loses the
    frame outright (half-duplex).
 
-The candidate receivers themselves come from a lazily refreshed spatial
-grid (cell size = the maximum reachable radius implied by the path-loss
-model), so a broadcast costs O(reachable receivers), not O(attached
-interfaces).  A transmitter in reach of some radio rescans its horizon
-once per :data:`NEIGHBOR_REFRESH_S`, not per broadcast.  Candidate sets
-of at least :data:`BATCH_MIN_CANDIDATES` receivers run step 1 as one
+Past its horizon, a broadcast's candidates are every attached radio (a
+fixed transmitter's without its verdict's fixed receivers).  A
+transmitter in reach of some radio rescans its horizon once per
+:data:`NEIGHBOR_REFRESH_S`, not per broadcast.  Candidate sets of at
+least :data:`BATCH_MIN_CANDIDATES` receivers run step 1 as one
 NumPy pass through the batch channel kernel (:mod:`repro.radio.batch`),
 which then draws steps 2–3 vectorized only for at least
 :data:`~repro.radio.batch.DRAW_CROSSOVER` survivors and per lane below
@@ -111,12 +111,8 @@ CULL_HEADROOM_DB = 12.0
 #: loop); at or above it the batch kernel's cull pass runs.  Purely a
 #: throughput constant: both paths produce the same arrivals.
 BATCH_MIN_CANDIDATES = 8
-#: Maximum age of the neighbor index snapshot before it is rebuilt, and
-#: the rescan period of a transmitter's horizon while it is in reach.
+#: Rescan period of a transmitter's reach horizon while it is in reach.
 NEIGHBOR_REFRESH_S = 1.0
-#: Below this interface count the index is skipped (a linear scan of so
-#: few radios is cheaper than grid bookkeeping).
-NEIGHBOR_INDEX_MIN_NODES = 16
 
 
 class LossCause(enum.Enum):
@@ -163,63 +159,6 @@ class _Arrival:
         self.half_duplex = False
 
 
-class _NeighborIndex:
-    """Grid buckets of interface positions, refreshed lazily.
-
-    Built from a snapshot of positions; queries widen their radius by the
-    maximum distance any node may have moved since the snapshot (the
-    medium's speed bound times the snapshot's age), so the candidate set
-    is always a superset of the truly reachable receivers.  The medium
-    skips the index while the bound is unbounded.
-    """
-
-    __slots__ = ("cell_m", "built_at", "version", "_buckets")
-
-    def __init__(
-        self,
-        interfaces: list["NetworkInterface"],
-        cell_m: float,
-        now: float,
-        version: int,
-    ) -> None:
-        self.cell_m = cell_m
-        self.built_at = now
-        self.version = version
-        buckets: dict[tuple[int, int], list["NetworkInterface"]] = {}
-        inv = 1.0 / cell_m
-        for iface in interfaces:
-            pos = iface.position()
-            key = (math.floor(pos.x * inv), math.floor(pos.y * inv))
-            buckets.setdefault(key, []).append(iface)
-        self._buckets = buckets
-
-    def query(self, pos: "Vec2", radius: float) -> list["NetworkInterface"]:
-        """Every interface bucketed within *radius* of *pos* (superset)."""
-        inv = 1.0 / self.cell_m
-        # Unpack the Vec2 once: each coordinate feeds two bounds, and
-        # frozen-dataclass attribute reads are not free on this hot path.
-        px, py = pos.x, pos.y
-        x_lo = math.floor((px - radius) * inv)
-        x_hi = math.floor((px + radius) * inv)
-        y_lo = math.floor((py - radius) * inv)
-        y_hi = math.floor((py + radius) * inv)
-        buckets = self._buckets
-        found: list["NetworkInterface"] = []
-        if (x_hi - x_lo + 1) * (y_hi - y_lo + 1) >= len(buckets):
-            # Query box spans more cells than exist: walking the occupied
-            # buckets (and box-testing each) is cheaper than probing the box.
-            for (ix, iy), bucket in buckets.items():
-                if x_lo <= ix <= x_hi and y_lo <= iy <= y_hi:
-                    found.extend(bucket)
-            return found
-        for ix in range(x_lo, x_hi + 1):
-            for iy in range(y_lo, y_hi + 1):
-                bucket = buckets.get((ix, iy))
-                if bucket is not None:
-                    found.extend(bucket)
-        return found
-
-
 class Medium:
     """Connects interfaces through a :class:`~repro.radio.channel.Channel`.
 
@@ -237,27 +176,26 @@ class Medium:
         first data deliveries.
     fast_path:
         When true (default), the production path: broadcasts before
-        their transmitter's reach horizon skip reception, receivers are
-        found through the spatial neighbor index, a fixed transmitter
-        skips the fixed receivers its cull verdict found unreachable,
-        hopeless links are culled before sampling, and candidate sets of
-        at least
-        :data:`BATCH_MIN_CANDIDATES` are culled by the batch kernel
-        (:mod:`repro.radio.batch`) — one NumPy pass over the whole set
-        instead of a per-receiver Python loop.  When false, the
-        exhaustive scalar oracle: every attached interface is bounded and
-        sampled by the per-receiver reference loop.  The two are
+        their transmitter's reach horizon skip reception, a fixed
+        transmitter skips the fixed receivers its cull verdict found
+        unreachable, hopeless links are culled before sampling, and
+        candidate sets of at least :data:`BATCH_MIN_CANDIDATES` are
+        culled by the batch kernel (:mod:`repro.radio.batch`) — one
+        NumPy pass over the whole set instead of a per-receiver Python
+        loop.  When false, the exhaustive scalar oracle: every attached
+        interface is bounded and sampled by the per-receiver reference
+        loop.  The two are
         bit-identical by construction (keyed draws + pinned float64
         semantics); the oracle exists so tests can prove it.
 
     Both paths apply the same reachability bound, with the fixed
     :data:`CULL_HEADROOM_DB` of shadowing headroom; the medium has no
-    other reception setting.  The speed bound that widens stale-index
-    queries and times reach horizons comes from the radios: it starts at
-    0, and :meth:`attach` raises it to each attached model's top speed
-    (unbounded for a model that reports none).  :meth:`attach` also
-    drops every fixed transmitter's cull verdict, which the next
-    full-path broadcast of that transmitter evaluates again.
+    other reception setting.  The speed bound that times reach horizons
+    comes from the radios: it starts at 0, and :meth:`attach` raises it
+    to each attached model's top speed (unbounded for a model that
+    reports none).  :meth:`attach` also drops every fixed transmitter's
+    cull verdict, which the next full-path broadcast of that transmitter
+    evaluates again.
     """
 
     __slots__ = (
@@ -269,14 +207,10 @@ class Medium:
         "_scratch",
         "_interfaces",
         "_ongoing",
-        "_attach_rank",
         "_rx_static",
         "_obs",
         "_spans",
         "_tx_seq",
-        "_index",
-        "_index_version",
-        "_reach_radius_m",
         "_tx_radius_m",
         "_horizons",
         "_verdicts",
@@ -300,8 +234,6 @@ class Medium:
         self._max_speed_ms = 0.0
         self._interfaces: list[NetworkInterface] = []
         self._ongoing: dict[NetworkInterface, list[_Arrival]] = {}
-        # Attach-order rank per interface, cached off the hot path.
-        self._attach_rank: dict[NetworkInterface, int] = {}
         # (node id, antenna gain, threshold, mobility batch key, mobility,
         # fixed) per interface — the attach-time snapshot both reception
         # paths read: one probe per candidate instead of attribute chases
@@ -317,10 +249,7 @@ class Medium:
         self._obs = medium_probes()
         self._spans = obs.tracer()
         self._tx_seq = 0
-        self._index: _NeighborIndex | None = None
-        self._index_version = 0
-        self._reach_radius_m: float | None = None
-        # Per-transmit-power query radius (radios share a handful of
+        # Per-transmit-power reach radius (radios share a handful of
         # distinct powers, so this stays tiny).
         self._tx_radius_m: dict[float, float] = {}
         # Per-transmitter reach horizon: (valid until, quiet).  Quiet
@@ -328,12 +257,9 @@ class Medium:
         # transmitter in reach keeps the full path until its next scan.
         self._horizons: dict[NetworkInterface, tuple[float, bool]] = {}
         # Per fixed transmitter, its cull verdict over the fixed
-        # receivers: (attach-order candidates without the receivers that
-        # fail the bound, those receivers).
-        self._verdicts: dict[
-            NetworkInterface,
-            tuple[list[NetworkInterface], set[NetworkInterface]],
-        ] = {}
+        # receivers: the attach-order candidates without the receivers
+        # that fail the bound.
+        self._verdicts: dict[NetworkInterface, list[NetworkInterface]] = {}
 
     def attach(self, iface: "NetworkInterface") -> None:
         """Register an interface.  Each interface joins exactly one medium.
@@ -346,13 +272,11 @@ class Medium:
         speed bound rises to the model's top speed if that is higher
         (unbounded if the model reports none); it is never lowered.  A
         model whose top speed is 0 makes the radio fixed, which is read
-        here only, never per broadcast.  Every attach rebuilds the
-        neighbor index and drops every reach horizon and every fixed
-        transmitter's cull verdict.
+        here only, never per broadcast.  Every attach drops every reach
+        horizon and every fixed transmitter's cull verdict.
         """
         if iface in self._ongoing:
             raise MacError(f"interface {iface.name!r} already attached")
-        self._attach_rank[iface] = len(self._interfaces)
         self._interfaces.append(iface)
         self._ongoing[iface] = []
         threshold = iface.config.noise_floor_dbm - SENSITIVITY_MARGIN_DB
@@ -369,37 +293,30 @@ class Medium:
         self._max_speed_ms = max(
             self._max_speed_ms, math.inf if top_speed is None else top_speed
         )
-        # The topology changed: rebuild the index, rescan every horizon,
-        # re-bound every fixed pair.
-        self._index_version += 1
-        self._reach_radius_m = None
+        # The topology changed: rescan every horizon, re-bound every
+        # fixed pair.
         self._tx_radius_m.clear()
         self._horizons.clear()
         self._verdicts.clear()
 
     # -- candidate discovery --------------------------------------------------
 
-    def _radius_for_loss_budget(self, tx_power_dbm: float) -> float:
-        """Radius beyond which *tx_power* cannot pass any receiver's bound."""
-        if not self._interfaces:
-            return math.inf
-        best = tx_power_dbm + max(
-            iface.config.antenna_gain_db for iface in self._interfaces
-        )
-        min_threshold = min(
-            threshold for _, _, threshold, _, _, _ in self._rx_static.values()
-        )
-        max_loss = best - min_threshold + CULL_HEADROOM_DB
-        if not math.isfinite(max_loss):
-            return math.inf
-        return self._channel.max_range_m(max_loss)
-
     def _tx_reach_m(self, tx_power_dbm: float) -> float:
-        """:meth:`_radius_for_loss_budget`, cached per transmit power
-        (radios share a handful of distinct powers)."""
+        """Radius beyond which *tx_power* cannot pass any receiver's bound,
+        cached per transmit power (radios share a handful of them)."""
         radius = self._tx_radius_m.get(tx_power_dbm)
         if radius is None:
-            radius = self._radius_for_loss_budget(tx_power_dbm)
+            best = tx_power_dbm + max(
+                iface.config.antenna_gain_db for iface in self._interfaces
+            )
+            min_threshold = min(
+                threshold for _, _, threshold, _, _, _ in self._rx_static.values()
+            )
+            max_loss = best - min_threshold + CULL_HEADROOM_DB
+            radius = (
+                self._channel.max_range_m(max_loss)
+                if math.isfinite(max_loss) else math.inf
+            )
             self._tx_radius_m[tx_power_dbm] = radius
         return radius
 
@@ -438,132 +355,54 @@ class Medium:
         self._horizons[tx_iface] = horizon
         return horizon
 
-    def _fresh_index(self) -> _NeighborIndex | None:
-        """The neighbor index, rebuilt once it is older than
-        :data:`NEIGHBOR_REFRESH_S`.
-
-        ``None`` where candidate discovery skips it: below
-        :data:`NEIGHBOR_INDEX_MIN_NODES` radios, under an unbounded speed
-        (no stale snapshot bounds anyone), or without a finite reach.
-        """
-        interfaces = self._interfaces
-        if (
-            len(interfaces) < NEIGHBOR_INDEX_MIN_NODES
-            or self._max_speed_ms == math.inf
-        ):
-            return None
-        # Grid cells are a quarter of the strongest radio's reach (a
-        # bucket-count / query-precision sweet spot); queries use the
-        # transmitter's own (possibly much shorter) reach.
-        cell = self._reach_radius_m
-        if cell is None:
-            cell = self._reach_radius_m = (
-                self._radius_for_loss_budget(
-                    max(iface.config.tx_power_dbm for iface in interfaces)
-                )
-                / 4.0
-            )
-        if not math.isfinite(cell):
-            return None
-        now = self._sim.now
-        index = self._index
-        if (
-            index is None
-            or index.version != self._index_version
-            or now - index.built_at > NEIGHBOR_REFRESH_S
-        ):
-            index = self._index = _NeighborIndex(
-                interfaces, cell, now, self._index_version
-            )
-        return index
-
     def _fixed_verdict(
-        self,
-        tx_iface: "NetworkInterface",
-        tx_pos: "Vec2",
-        index: _NeighborIndex | None,
-    ) -> tuple[list["NetworkInterface"], set["NetworkInterface"]]:
-        """A fixed transmitter's cull verdict: ``(candidates, unreachable)``.
+        self, tx_iface: "NetworkInterface", tx_pos: "Vec2"
+    ) -> list["NetworkInterface"]:
+        """A fixed transmitter's cull verdict: its candidate list.
 
-        Bounds each fixed receiver that discovery can offer once, with
-        the scalar :meth:`Channel.link_budget` at both fixed positions
-        (the call the oracle makes), and collects those that fail step
-        1's bound.  Both ends and every term of the bound stay as they
-        are until the next attach, which drops the verdict, so they fail
-        it on every broadcast until then.  Without an *index*, discovery
-        offers every radio.  With one, a fixed receiver falls in the same
-        cell at every rebuild, and no query reaches past the
-        transmitter's reach plus the speed bound times the index's
-        greatest age, so one query that wide offers every fixed receiver
-        that a later query can.  ``candidates`` is the attach-order
-        interface list without the unreachable ones; like every
-        candidate list, it keeps the transmitter.
+        Bounds each fixed receiver once, with the scalar
+        :meth:`Channel.link_budget` at both fixed positions (the call the
+        oracle makes), and leaves out those that fail step 1's bound.
+        Both ends and every term of the bound stay as they are until the
+        next attach, which drops the verdict, so they fail it on every
+        broadcast until then.  The list keeps attach order and, like
+        every candidate list, the transmitter.
         """
         tx_power = tx_iface.config.tx_power_dbm
-        offered = self._interfaces
-        if index is not None:
-            offered = index.query(
-                tx_pos,
-                self._tx_reach_m(tx_power)
-                + self._max_speed_ms * NEIGHBOR_REFRESH_S,
-            )
         static = self._rx_static
         budget = self._channel.link_budget
         # Term for term the bound of transmit() and the batch kernel, so
         # each verdict is the float comparison they would make.
         headroom = CULL_HEADROOM_DB
-        unreachable: set[NetworkInterface] = set()
-        for rx_iface in offered:
-            if rx_iface is tx_iface:
-                continue
-            _, rx_gain, threshold, _, _, fixed = static[rx_iface]
-            if (
-                fixed
-                and tx_power + rx_gain - budget(tx_pos, rx_iface.position())[1]
-                + headroom < threshold
-            ):
-                unreachable.add(rx_iface)
-        candidates = [
-            iface for iface in self._interfaces if iface not in unreachable
-        ]
-        verdict = self._verdicts[tx_iface] = (candidates, unreachable)
-        return verdict
+        candidates: list[NetworkInterface] = []
+        for rx_iface in self._interfaces:
+            if rx_iface is not tx_iface:
+                _, rx_gain, threshold, _, _, fixed = static[rx_iface]
+                if (
+                    fixed
+                    and tx_power + rx_gain
+                    - budget(tx_pos, rx_iface.position())[1]
+                    + headroom < threshold
+                ):
+                    continue
+            candidates.append(rx_iface)
+        self._verdicts[tx_iface] = candidates
+        return candidates
 
     def _candidates(self, tx_iface: "NetworkInterface", tx_pos: "Vec2") -> list:
         """Receivers that could possibly pass the reachability bound.
 
         Returns a superset of the bound-passing set, in attach order (the
-        per-pair bound in :meth:`transmit` does the exact cull).  A fixed
-        transmitter's set leaves out the fixed receivers its verdict
-        found unreachable.  Without the neighbor index (see
-        :meth:`_fresh_index`) every interface left is a candidate;
-        otherwise the index narrows the set to the transmitter's reach,
-        widened by how far any radio may have moved since the index was
-        built.
+        per-pair bound in :meth:`transmit` does the exact cull): every
+        attached interface, except that a fixed transmitter's set leaves
+        out the fixed receivers its verdict found unreachable.
         """
-        interfaces = self._interfaces
-        if not self._fast_path:
-            return interfaces
-        index = self._fresh_index()
-        candidates = interfaces
-        unreachable = None
-        if self._rx_static[tx_iface][5]:
-            verdict = self._verdicts.get(tx_iface)
-            if verdict is None:
-                verdict = self._fixed_verdict(tx_iface, tx_pos, index)
-            candidates, unreachable = verdict
-        if index is None:
-            return candidates
-        radius = self._tx_reach_m(tx_iface.config.tx_power_dbm)
-        slack = self._max_speed_ms * (self._sim.now - index.built_at)
-        found = index.query(tx_pos, radius + slack)
-        if unreachable:
-            found = [iface for iface in found if iface not in unreachable]
-        if len(found) >= len(candidates):
-            return candidates
-        rank = self._attach_rank
-        found.sort(key=rank.__getitem__)
-        return found
+        if not self._fast_path or not self._rx_static[tx_iface][5]:
+            return self._interfaces
+        candidates = self._verdicts.get(tx_iface)
+        if candidates is None:
+            candidates = self._fixed_verdict(tx_iface, tx_pos)
+        return candidates
 
     # -- transmission ---------------------------------------------------------
 

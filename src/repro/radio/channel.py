@@ -159,7 +159,7 @@ class Channel:
         """Largest distance whose *path* loss stays within *max_loss_db*.
 
         Obstruction only ever adds loss, so this is a conservative
-        (never-too-small) radius for the medium's neighbor index.
+        (never-too-small) radius for the medium's reach horizon.
         """
         return self.pathloss.range_for_loss(max_loss_db)
 

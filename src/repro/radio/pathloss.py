@@ -5,8 +5,8 @@ transmit power) as a function of link distance in metres.  They sit on
 the medium's per-receiver hot path, so each model folds its parameters
 into precomputed constants (one ``log10`` per evaluation) and exposes the
 closed-form inverse :meth:`PathLossModel.range_for_loss`, which the
-medium's spatial neighbor index uses to convert a power threshold into a
-candidate radius.
+medium uses to convert a power threshold into a transmitter's reach
+radius.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 The paper motivates C-ARQ with highway measurements: 50–60 % losses for a
 car passing an AP at speed.  This scenario reproduces that geometry — a
 straight road, an AP off the roadside, a platoon passing once at a chosen
-speed — and sweeps over speed through the ``speed`` preset.  Like the
-urban scenario, the protocol is the config's ``mode`` field, so baseline
-arms pair with C-ARQ on identical channel realisations.
+speed — and sweeps over speed through the ``speed`` preset and over
+platoon size through the ``density`` preset.  Like the urban scenario,
+the protocol is the config's ``mode`` field, so baseline arms pair with
+C-ARQ on identical channel realisations.
 """
 
 from __future__ import annotations
@@ -233,6 +234,33 @@ def _speed_preset() -> dict:
     }
 
 
+def _density_preset() -> dict:
+    """Platoon size from the paper's 3 cars to 24, at the default pass.
+
+    The sizes where cooperator selection (the paper's open §6 question)
+    could pay.  The 24-car point is also the largest registered round:
+    every broadcast there offers 24 receivers, past the crossovers of
+    the medium's large-N code.
+    """
+    base = HighwayConfig()
+    return {
+        "name": "density",
+        "scenario": "highway",
+        "seed": base.seed,
+        "rounds": base.rounds,
+        "base": config_to_dict(base),
+        "axes": [
+            {
+                "name": "n_cars",
+                "points": [
+                    {"label": n, "overrides": {"n_cars": n}}
+                    for n in (3, 6, 12, 24)
+                ],
+            }
+        ],
+    }
+
+
 PLUGIN = register(
     ScenarioPlugin(
         name="highway",
@@ -253,6 +281,11 @@ PLUGIN = register(
                 "speed",
                 "drive-thru losses vs pass speed (40–120 km/h)",
                 _speed_preset,
+            ),
+            ScenarioPreset(
+                "density",
+                "drive-thru losses vs platoon size (3–24 cars)",
+                _density_preset,
             ),
         ),
     )

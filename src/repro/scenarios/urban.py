@@ -72,10 +72,10 @@ class RadioEnvironment:
     rate_name: str = "dsss-1"
     building_loss_db: float = 31.0
     #: Reception path (see :class:`repro.mac.medium.Medium`): when true
-    #: (default), the production path — the medium finds receivers
-    #: through its spatial neighbor index, culls links that cannot clear
-    #: the sensitivity threshold before sampling them, and evaluates big
-    #: candidate sets with the vectorized batch kernel.  Turning it off
+    #: (default), the production path — the medium skips broadcasts
+    #: before their transmitter's reach horizon, culls links that cannot
+    #: clear the sensitivity threshold before sampling them, and
+    #: evaluates big candidate sets with the vectorized batch kernel.  Turning it off
     #: selects the exhaustive scalar oracle, which must produce
     #: bit-identical rows (A/B validation).
     reception_fast_path: bool = True

@@ -139,6 +139,23 @@ class TestPointsFiltering:
         (ax,) = spec.axes
         assert [p.label for p in ax.points] == [80.0]
 
+    def test_density_preset_sizes_the_platoon_at_the_default_pass(self):
+        from repro.scenarios.highway import HighwayConfig
+
+        spec = self.spec_for(["campaign", "run", "--preset", "density"])
+        (ax,) = spec.axes
+        assert [p.label for p in ax.points] == [3, 6, 12, 24]
+        assert [p.overrides for p in ax.points] == [
+            {"n_cars": n} for n in (3, 6, 12, 24)
+        ]
+        assert spec.rounds == 10
+        smallest = self.spec_for(
+            ["campaign", "run", "--preset", "density", "--points", "3"]
+        )
+        (task, *rest) = smallest.expand()
+        assert len(rest) == 9
+        assert task.config() == HighwayConfig(n_cars=3)
+
     def test_numeric_tolerant_match(self):
         spec = self.spec_for(
             ["campaign", "run", "--preset", "hello-period", "--points", "0.50,3"]

@@ -77,28 +77,6 @@ class TestExitCodes:
         _write(tmp_path, "sim/a.py", DIRTY)
         assert cli_main(["lint", str(tmp_path)]) == 1
 
-    def test_stale_baseline_exits_one(self, tmp_path, capsys):
-        _write(tmp_path, "sim/a.py", DIRTY)
-        baseline = tmp_path / "baseline.json"
-        assert (
-            cli_main(
-                ["lint", str(tmp_path), "--write-baseline",
-                 "--baseline", str(baseline)]
-            )
-            == 0
-        )
-        # Baselined: clean.
-        assert (
-            cli_main(["lint", str(tmp_path), "--baseline", str(baseline)]) == 0
-        )
-        # Debt paid down → the baseline entry goes stale → exit 1.
-        _write(tmp_path, "sim/a.py", CLEAN)
-        assert (
-            cli_main(["lint", str(tmp_path), "--baseline", str(baseline)]) == 1
-        )
-        out = capsys.readouterr().out
-        assert "stale baseline" in out
-
 
 class TestOutput:
     def test_text_format(self, tmp_path, capsys):

@@ -686,10 +686,10 @@ class TestSpeedBoundFromMobility:
     """The medium's speed bound comes from the attached models.
 
     A recorded 6 km leg in 0.5 s (12 km/s) passes a line of static
-    beacons.  Under a bound below that, such as a fixed 100 m/s guess, a
-    stale neighbor index (17 radios) or a reach horizon (2 radios) would
-    miss the mover.  A model that hides its top speed counts as
-    unbounded, so it cannot be missed either.
+    beacons.  Under a bound below that, such as a fixed 100 m/s guess,
+    the beacons' reach horizons would miss the mover, whether it passes
+    one beacon (2 radios) or sixteen (17 radios).  A model that hides
+    its top speed counts as unbounded, so it cannot be missed either.
     """
 
     def _pass_records(self, n_static, hide_speed, *, fast_path):
@@ -743,8 +743,8 @@ class TestStaticPairs:
         once, while every radio broadcasts every 0.4 s.  Returns the rx
         rows with each frame's sender."""
         trace = RecordingCollector()
-        # The cars start 1.5 km beyond either end of the line: out of
-        # reach, but inside the first fixed radio's widest index query.
+        # The cars start 1.5 km beyond either end of the line, out of
+        # every fixed radio's reach.
         far = self.SPACING_M * (n_fixed - 1) + 1500.0
         speed = (far + 1500.0) / (0.4 * self.ROUNDS)
         sim, medium, ifaces = make_net(
@@ -768,18 +768,12 @@ class TestStaticPairs:
             for r in trace.rx_records
         ]
 
-    @pytest.mark.parametrize(
-        "n_fixed, failing_counts", [(6, {1}), (16, {0, 1})],
-        ids=["attach-order", "index"],
-    )
-    def test_failing_fixed_pairs_are_bounded_once(
-        self, n_fixed, failing_counts, monkeypatch
-    ):
-        """6 fixed radios take the attach-order candidate list, 16 the
-        neighbor index.  A fixed pair that fails the bound is evaluated
-        once, or never where the index never offers the receiver; one
-        that passes is evaluated on every broadcast as well.  The rows
-        equal the oracle's."""
+    @pytest.mark.parametrize("n_fixed", [6, 16], ids=["attach-order", "index"])
+    def test_failing_fixed_pairs_are_bounded_once(self, n_fixed, monkeypatch):
+        """With 6 fixed radios, or 16 (the size at which a spatial index
+        once took over discovery), a fixed pair that fails the bound is
+        evaluated once; one that passes is evaluated on every broadcast
+        as well.  The rows equal the oracle's."""
         bounded = {}
         scalar_budget = Channel.link_budget
         batch_budget = Channel.link_budget_batch
@@ -815,7 +809,7 @@ class TestStaticPairs:
                     assert count == 1 + self.ROUNDS, (i, j)
                 elif i != j:
                     failing.add(count)
-        assert failing == failing_counts
+        assert failing == {1}
 
     def test_fixed_radio_attached_mid_run_is_heard_by_next_broadcast(self):
         """A fixed neighbour 50 m away keeps the beacon on the full

@@ -36,6 +36,7 @@ class TestRegistrySourcedPresets:
             "hello-period",
             "protocol-modes",
             "speed",
+            "density",
             "download",
             "oncoming",
         } <= set(_campaign_presets())

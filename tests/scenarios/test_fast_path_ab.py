@@ -26,7 +26,6 @@ from repro.campaign.executor import run_campaign
 from repro.campaign.report import point_summaries
 from repro.campaign.spec import CampaignSpec, config_to_dict
 from repro.campaign.store import MemoryStore
-from repro.mac.medium import NEIGHBOR_INDEX_MIN_NODES
 from repro.scenarios.bidirectional import BidirectionalConfig
 from repro.scenarios.highway import HighwayConfig
 from repro.scenarios.multi_ap import MultiApConfig
@@ -61,20 +60,6 @@ SMALL_CONFIGS = {
         ),
     ),
 }
-
-#: Every input above attaches at most 8 radios, too few for the medium's
-#: neighbor index; this one attaches 16 (12 APs and 4 cars), so the pin
-#: also covers the index and the fixed APs' cull verdicts filtering it.
-INDEXED_MULTI_AP = MultiApConfig(
-    seed=13,
-    rounds=1,
-    road_length_m=2400.0,
-    ap_spacing_m=200.0,
-    n_cars=4,
-    file_blocks=30,
-    packet_rate_hz=2.0,
-)
-
 
 def run_rows(scenario: str, config, *, fast_path: bool, instrumented: bool = False):
     radio = dataclasses.replace(config.radio, reception_fast_path=fast_path)
@@ -129,14 +114,6 @@ def test_every_registered_scenario_is_covered():
 def test_fast_path_and_batch_rows_bit_identical(scenario):
     production = plain_rows(scenario, fast_path=True)
     assert production == plain_rows(scenario, fast_path=False)
-
-
-def test_indexed_multi_ap_rows_bit_identical():
-    config = INDEXED_MULTI_AP
-    radios = len(config.ap_positions()) + config.n_cars
-    assert radios >= NEIGHBOR_INDEX_MIN_NODES
-    production = run_rows("multi_ap", config, fast_path=True)
-    assert production == run_rows("multi_ap", config, fast_path=False)
 
 
 @pytest.mark.parametrize("scenario", sorted(SMALL_CONFIGS))

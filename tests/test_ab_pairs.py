@@ -38,6 +38,15 @@ class TestVerdict:
         assert judge(PARENT, change).wins == 9
         assert judge(PARENT, change).verdict == "gain"
 
+    def test_fewer_than_ten_pairs_show_no_gain(self):
+        # 0.14 % apart, every pair won, the parent's spread smaller still.
+        result = ab_pairs.verdict(
+            [49.38, 49.38, 49.39], [49.31, 49.31, 49.32], better="lower", bound=0.1
+        )
+        assert result.wins == 3
+        assert result.verdict == "within bound"
+        assert judge([10.0] * 3, [9.99] * 3).verdict == "within bound"
+
     def test_eight_of_ten_wins_is_not(self):
         change = [p * 0.88 for p in PARENT]
         change[3] = PARENT[3] + 0.01

@@ -69,7 +69,7 @@ class TestReadme:
             assert f"`{rule.code}`" in doc, rule.code
         for code in FRAMEWORK_CODES:
             assert f"`{code}`" in doc, code
-        for section in ("Waivers", "Baseline workflow", "lint-ok"):
+        for section in ("Waivers", "lint-ok"):
             assert section in doc
 
     def test_architecture_doc_cross_links_linting(self):

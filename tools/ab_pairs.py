@@ -14,9 +14,9 @@ printed, then, for each end-to-end metric, both sides' median and
 quartiles, the pairs the change won and a verdict:
 
 ``gain``
-    the change won at least nine tenths of the pairs (ties count for
-    neither side) and the medians lie further apart than the parent's
-    interquartile range;
+    over at least ten pairs, the change won at least nine tenths of them
+    (ties count for neither side) and the medians lie further apart than
+    the parent's interquartile range;
 ``regression``
     the change's median is worse than the parent's by more than the
     metric's ``bound`` (a share of the parent's median);
@@ -44,6 +44,8 @@ from dataclasses import dataclass
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: Share of pairs the change must win for a gain.
 WIN_SHARE = 0.9
+#: Fewest pairs that can show a gain; fewer read at most ``within bound``.
+MIN_GAIN_PAIRS = 10
 #: Hard stop for one benchmark run.
 RUN_TIMEOUT_S = 600.0
 
@@ -89,7 +91,11 @@ def verdict(
     spread = max(p[2] - p[0], c[2] - c[0]) / scale
     if worse_by > bound:
         kind = "regression"
-    elif wins >= math.ceil(WIN_SHARE * len(parent)) and -sign * (c[1] - p[1]) > p[2] - p[0]:
+    elif (
+        len(parent) >= MIN_GAIN_PAIRS
+        and wins >= math.ceil(WIN_SHARE * len(parent))
+        and -sign * (c[1] - p[1]) > p[2] - p[0]
+    ):
         kind = "gain"
     elif spread > bound and not all(
         sign * (b - a) < 0.0 for a in parent for b in change
