@@ -64,8 +64,8 @@ def run_arq_baseline():
     }
 
 
-def test_retransmission_ablation(benchmark, artifact_sink):
-    carq = benchmark.pedantic(run_carq, rounds=1, iterations=1)
+def test_retransmission_ablation(artifact_sink):
+    carq = run_carq()
     double_tx = run_carq(FixedRetransmission(2))
     arq = run_arq_baseline()
 

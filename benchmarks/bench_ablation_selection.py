@@ -45,11 +45,9 @@ def run_strategy(strategy):
     }
 
 
-def test_cooperator_selection_ablation(benchmark, artifact_sink):
+def test_cooperator_selection_ablation(artifact_sink):
     all_neighbors = run_strategy(AllNeighbors())
-    best2 = benchmark.pedantic(
-        run_strategy, args=(BestK(2),), rounds=1, iterations=1
-    )
+    best2 = run_strategy(BestK(2))
     random2 = run_strategy(RandomK(2, np.random.default_rng(0)))
 
     rows = [

@@ -21,10 +21,10 @@ NAMES = {car: f"car {car}" for car in CARS}
 
 
 @pytest.mark.parametrize("flow_car", CARS, ids=["fig3", "fig4", "fig5"])
-def test_reception_probability_figure(flow_car, benchmark, urban_matrices, artifact_sink):
+def test_reception_probability_figure(flow_car, urban_matrices, artifact_sink):
     matrices = flow_matrices(urban_matrices, flow_car)
 
-    curves = benchmark(reception_curves, matrices, CARS, car_names=NAMES)
+    curves = reception_curves(matrices, CARS, car_names=NAMES)
     smoothed = [curves[car].smoothed(7) for car in CARS]
     regions = estimate_regions(matrices, CARS)
 

@@ -19,10 +19,10 @@ CARS = [NodeId(1), NodeId(2), NodeId(3)]
 
 
 @pytest.mark.parametrize("flow_car", CARS, ids=["fig6", "fig7", "fig8"])
-def test_after_coop_vs_joint_figure(flow_car, benchmark, urban_matrices, artifact_sink):
+def test_after_coop_vs_joint_figure(flow_car, urban_matrices, artifact_sink):
     matrices = flow_matrices(urban_matrices, flow_car)
 
-    curves = benchmark(coop_curves, matrices, car_name=f"car {flow_car}")
+    curves = coop_curves(matrices, car_name=f"car {flow_car}")
     gap = optimality_gap(matrices)
 
     figure_number = 5 + int(flow_car)

@@ -36,10 +36,10 @@ def speed_sweep(cfg: HighwayConfig):
     return sweep_points(store, spec)
 
 
-def test_highway_speed_sweep(benchmark, artifact_sink):
+def test_highway_speed_sweep(artifact_sink):
     cfg = HighwayConfig(rounds=ROUNDS, seed=31)
 
-    points = benchmark.pedantic(speed_sweep, args=(cfg,), rounds=1, iterations=1)
+    points = speed_sweep(cfg)
 
     rows = [
         [
@@ -68,7 +68,7 @@ def test_highway_speed_sweep(benchmark, artifact_sink):
     assert points[-1].lost_before_fraction > points[0].lost_before_fraction
 
 
-def test_highway_large_n_fast_path(benchmark):
+def test_highway_large_n_fast_path():
     """Largest-N highway: 96 vehicles over 14.6 km of dense traffic.
 
     Dense through-traffic (``spread_along_road``, 150 m gaps) is the
@@ -101,7 +101,7 @@ def test_highway_large_n_fast_path(benchmark):
         ctx.sim.run(until=5.0)
         return time.perf_counter() - t0
 
-    batch = benchmark.pedantic(window_seconds, args=(True,), rounds=1, iterations=1)
+    batch = window_seconds(True)
     exhaustive = window_seconds(False)
     print(f"\n97 radios, 5 s window: batch {batch:.3f} s, "
           f"exhaustive {exhaustive:.3f} s, speedup {exhaustive / batch:.2f}")

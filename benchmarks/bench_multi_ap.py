@@ -29,12 +29,10 @@ def download_outcomes(cfg: MultiApConfig):
     return outcomes
 
 
-def test_multi_ap_download(benchmark, artifact_sink):
+def test_multi_ap_download(artifact_sink):
     cfg = MultiApConfig(rounds=ROUNDS, seed=67)
 
-    outcomes = benchmark.pedantic(
-        download_outcomes, args=(cfg,), rounds=1, iterations=1
-    )
+    outcomes = download_outcomes(cfg)
     coop = [o.aps_visited_coop for o in outcomes if math.isfinite(o.aps_visited_coop)]
     direct = [
         o.aps_visited_direct for o in outcomes if math.isfinite(o.aps_visited_direct)
@@ -73,7 +71,7 @@ def test_multi_ap_download(benchmark, artifact_sink):
     assert coop_incomplete <= direct_incomplete
 
 
-def test_multi_ap_large_n_fast_path(benchmark):
+def test_multi_ap_large_n_fast_path():
     """Largest-N corridor: 20 infostations + 48 cars (68 radios).
 
     A dense car wave passing closely spaced infostations: every
@@ -107,7 +105,7 @@ def test_multi_ap_large_n_fast_path(benchmark):
         ctx.sim.run(until=10.0)
         return time.perf_counter() - t0
 
-    batch = benchmark.pedantic(window_seconds, args=(True,), rounds=1, iterations=1)
+    batch = window_seconds(True)
     exhaustive = window_seconds(False)
     print(f"\n68 radios, 10 s window: batch {batch:.3f} s, "
           f"exhaustive {exhaustive:.3f} s, speedup {exhaustive / batch:.2f}")

@@ -27,8 +27,8 @@ def run_mode(mode: str):
     return {"car_kb": car_bytes / ROUNDS / 1000.0, "after_pct": 100.0 * after / tx}
 
 
-def test_epidemic_overhead(benchmark, artifact_sink):
-    carq = benchmark.pedantic(run_mode, args=("carq",), rounds=1, iterations=1)
+def test_epidemic_overhead(artifact_sink):
+    carq = run_mode("carq")
     epidemic = run_mode("epidemic")
 
     text = format_table(

@@ -334,10 +334,3 @@ def canonical_call(node: ast.Call, aliases: dict[str, str]) -> str | None:
     if canonical is None:
         return None
     return f"{canonical}.{rest}" if rest else canonical
-
-
-def block_terminates(stmts: list[ast.stmt]) -> bool:
-    """Does the block unconditionally leave the enclosing suite?"""
-    return bool(stmts) and isinstance(
-        stmts[-1], (ast.Return, ast.Raise, ast.Continue, ast.Break)
-    )

@@ -129,11 +129,6 @@ class NetworkInterface:
         """True while a frame from this interface is on the air."""
         return self._transmitting
 
-    @property
-    def queue_length(self) -> int:
-        """Frames waiting for the medium (not counting the one on air)."""
-        return len(self._queue)
-
     def send(self, frame: Frame, rate: WifiRate | None = None) -> None:
         """Enqueue *frame* for transmission at *rate* (default: config rate).
 

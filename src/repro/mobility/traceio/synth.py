@@ -9,9 +9,8 @@ each with its own cruise speed and slowly varying speed noise, sampled
 on a fixed tick until it leaves the far end.  The result intentionally
 has the irregularities real FCD exports show — vehicles appearing and
 disappearing mid-recording, different per-vehicle time spans, curved
-paths, non-constant speeds — which is exactly what the trace benchmarks
-need to prove the batch kernel's speedup holds off the parametric
-platoon geometry.
+paths, non-constant speeds — so the default ``trace`` round runs the
+radio and mobility layers off the parametric platoon geometry.
 
 Determinism: the only randomness is ``numpy.random.default_rng(seed)``
 consumed in a fixed order, so a (seed, parameters) pair always produces

@@ -19,15 +19,14 @@ Below :data:`DRAW_CROSSOVER` survivors each one is drawn by the scalar
 :meth:`~repro.radio.channel.Channel.sample`, with the lane's budget
 forwarded; at or above it one :meth:`~repro.radio.channel.Channel.sample_batch`
 call draws them all.  The crossover was measured per survivor count on
-the corridor (``multi_ap``) and highway (``trace``) channel stacks with
-``benchmarks/draw_crossover.py`` on a 2-vCPU Xeon host.  From 1 to 32
-survivors, a pass with the vectorized draw rises from about 225 µs (mostly
-fixed NumPy call overhead) by about 4 µs per survivor, and a pass with
-per-lane draws from about 55 µs by 15–17 µs per survivor.  They break
-even at 16 survivors on the highway stack; on the corridor stack they
-stay within noise of each other from 16 to 20 survivors, so the
-constant takes 16 (EXPERIMENTS.md, "Draw only what survives the
-cull").
+the corridor (``multi_ap``) and highway (``trace``) channel stacks on a
+2-vCPU Xeon host (EXPERIMENTS.md, "Draw only what survives the cull").
+From 1 to 32 survivors, a pass with the vectorized draw rises from about
+225 µs (mostly fixed NumPy call overhead) by about 4 µs per survivor,
+and a pass with per-lane draws from about 55 µs by 15–17 µs per
+survivor.  They break even at 16 survivors on the highway stack; on the
+corridor stack they stay within noise of each other from 16 to 20
+survivors, so the constant takes 16.
 
 Exactness ground rules (shared by every ``*_batch`` method downstream):
 

@@ -207,8 +207,8 @@ def scenario_reference_markdown() -> str:
     presets) and each plugin's default configuration (every dotted
     config path with its default — exactly the paths campaign grid
     axes and ``--set`` accept), so the document cannot drift from the
-    code: ``repro scenarios --doc`` regenerates it and CI diffs the
-    committed file against the output.
+    code: ``repro scenarios --doc`` regenerates it and
+    ``tests/test_docs.py`` diffs the committed file against the output.
     """
     import json
 
@@ -218,8 +218,7 @@ def scenario_reference_markdown() -> str:
         "<!-- Generated by `repro scenarios --doc`. Do not edit by hand:",
         "     regenerate with `PYTHONPATH=src python -m repro scenarios --doc "
         "> docs/SCENARIOS.md`",
-        "     (the CI docs job and tests/test_docs.py diff this file against "
-        "the generator). -->",
+        "     (tests/test_docs.py diffs this file against the generator). -->",
         "",
         "# Scenario reference",
         "",

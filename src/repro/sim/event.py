@@ -74,10 +74,6 @@ class Event:
         """Whether the event has already left the queue for execution."""
         return self._fired
 
-    def mark_fired(self) -> None:
-        """Record that the queue handed this event to the executor."""
-        self._fired = True
-
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent.
 

@@ -39,9 +39,10 @@ class EventQueue:
     events currently in the heap (see :meth:`live_heap_count`).  All
     bookkeeping that could break it is funnelled through :meth:`cancel`,
     which refuses events that are not live heap entries — in particular
-    events that already fired (popped events are marked via
-    :meth:`Event.mark_fired`, so a cancel-after-fire cannot drive the
-    live count negative and stop a run while live events remain).
+    events that already fired (:meth:`pop` and :meth:`serve` set each
+    event's ``_fired`` flag as it leaves, so a cancel-after-fire cannot
+    drive the live count negative and stop a run while live events
+    remain).
     """
 
     __slots__ = ("_heap", "_live",)

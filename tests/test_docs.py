@@ -1,8 +1,8 @@
 """Docs stay true: generated references in sync, intra-repo links resolve.
 
-These are the local half of the CI ``docs`` job — a drifted
-``docs/SCENARIOS.md`` or a broken markdown link fails tier-1 before any
-workflow runs.
+A drifted ``docs/SCENARIOS.md`` or a broken markdown link fails tier-1;
+README's scenario table is checked by
+``tests/scenarios/test_cli_scenarios.py``.
 """
 
 import pathlib

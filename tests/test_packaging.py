@@ -1,4 +1,5 @@
-"""``setup.py`` declares every third-party package that ``repro`` imports.
+"""``setup.py`` declares every third-party package that ``repro`` imports,
+and README's Install section names each one.
 
 CI jobs install the package alone (``pip install -e .``) and then run
 it, so an import that ``install_requires`` leaves out works only where
@@ -54,3 +55,10 @@ def test_every_third_party_import_is_declared():
         if name.lower() not in declared_requirements()
     }
     assert not missing, f"imported but not in install_requires: {missing}"
+
+
+def test_readme_install_section_names_every_requirement():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    install = readme.split("\n## Install\n", 1)[1].split("\n## ", 1)[0].lower()
+    missing = sorted(name for name in declared_requirements() if name not in install)
+    assert not missing, f"README's Install section leaves out {missing}"
